@@ -19,6 +19,8 @@ module Runner = Cni_experiments.Runner
 module Microbench = Cni_experiments.Microbench
 module Report = Cni_experiments.Report
 module Topology = Cni_atm.Topology
+module Scenario = Cni_experiments.Scenario
+module Preflight = Cni_experiments.Preflight
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
@@ -26,8 +28,10 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 
 let nic_kind =
-  let conv_nic = Arg.enum [ ("cni", `Cni_k); ("osiris", `Osiris_k); ("standard", `Standard_k) ] in
-  Arg.(value & opt conv_nic `Cni_k & info [ "nic" ] ~doc:"Network interface: $(b,cni), $(b,osiris) or $(b,standard).")
+  Arg.(
+    value
+    & opt (enum Scenario.nic_names) Scenario.Cni
+    & info [ "nic" ] ~doc:"Network interface: $(b,cni), $(b,osiris) or $(b,standard).")
 
 let procs = Arg.(value & opt int 8 & info [ "p"; "procs" ] ~doc:"Number of workstation nodes.")
 let page_bytes = Arg.(value & opt int 2048 & info [ "page-bytes" ] ~doc:"Shared page size.")
@@ -52,12 +56,9 @@ let topology_arg =
            (3D torus, dimension-order routed).")
 
 let rx_policy_arg =
-  let rx_policy_conv =
-    Arg.enum
-      [ ("interrupt", `Interrupt); ("poll", `Poll); ("hybrid", `Hybrid); ("adaptive", `Adaptive) ]
-  in
   Arg.(
-    value & opt rx_policy_conv `Hybrid
+    value
+    & opt (enum Scenario.rx_names) Scenario.Hybrid
     & info [ "rx-policy" ]
         ~doc:
           "CNI receive wakeup policy for host-resident handlers: $(b,interrupt), $(b,poll), \
@@ -72,23 +73,12 @@ let rx_batch_arg =
           "Receive coalescing depth: one host wakeup drains up to this many queued frames \
            (1 = one wakeup per frame).")
 
-let to_rx_policy = function
-  | `Interrupt -> Cni_nic.Nic.Rx_interrupt
-  | `Poll -> Cni_nic.Nic.Rx_poll
-  | `Hybrid -> Cni_nic.Nic.Rx_hybrid
-  | `Adaptive -> Cni_nic.Nic.Rx_adaptive Cni_nic.Nic.default_rx_adaptive
-
 let make_params ~page ~cells =
   let p = { Params.default with Params.page_bytes = page } in
   if cells then { p with Params.cell_payload_bytes = 1 lsl 26 } else p
 
-let make_kind ?(rx_policy = `Hybrid) ?(rx_batch = 1) nic ~mc_kb ~no_aih =
-  match nic with
-  | `Standard_k -> Runner.standard
-  | `Osiris_k -> Runner.osiris
-  | `Cni_k ->
-      Runner.cni ~mc_bytes:(mc_kb * 1024) ~aih:(not no_aih)
-        ~rx_policy:(to_rx_policy rx_policy) ~rx_batch ()
+let make_kind ?rx_policy ?rx_batch nic ~mc_kb ~no_aih =
+  Scenario.nic_kind ~mc_bytes:(mc_kb * 1024) ~aih:(not no_aih) ?rx_policy ?rx_batch nic
 
 (* ------------------------------------------------------------------ *)
 (* Observability options                                               *)
@@ -173,7 +163,7 @@ module Faults = Cni_atm.Faults
 
 let loss_arg =
   Arg.(
-    value & opt float 0.
+    value & opt (some float) None
     & info [ "loss" ] ~docv:"P"
         ~doc:
           "Per-cell loss probability injected into the fabric. Any nonzero fault rate \
@@ -182,7 +172,7 @@ let loss_arg =
 
 let corrupt_arg =
   Arg.(
-    value & opt float 0.
+    value & opt (some float) None
     & info [ "corrupt" ] ~docv:"P"
         ~doc:
           "Per-cell corruption probability: affected frames arrive but fail the AAL5 CRC \
@@ -190,7 +180,7 @@ let corrupt_arg =
 
 let fault_seed_arg =
   Arg.(
-    value & opt int 42
+    value & opt (some int) None
     & info [ "fault-seed" ] ~docv:"SEED"
         ~doc:"Seed of the fault model's random stream (runs are reproducible per seed).")
 
@@ -241,7 +231,8 @@ let schedule_arg =
         ~doc:
           "Load a declarative fault schedule (seed, probabilities, link-down windows and \
            timed node crash/restart events) from $(docv); see DESIGN.md for the format. \
-           Other fault flags add on top of it.")
+           $(b,--fault-seed), $(b,--loss) and $(b,--corrupt) override its values when \
+           given; $(b,--link-down) and $(b,--crash) add to it.")
 
 let crash_conv =
   let parse s =
@@ -288,17 +279,15 @@ let crash_events crash =
 
 let make_faults ~seed ~loss ~corrupt ~link_down ~schedule ~crash =
   let base = Option.value schedule ~default:Faults.none in
-  let cfg =
-    {
-      base with
-      Faults.seed = (if seed <> 42 then seed else base.Faults.seed);
-      cell_loss = (if loss > 0. then loss else base.Faults.cell_loss);
-      cell_corrupt = (if corrupt > 0. then corrupt else base.Faults.cell_corrupt);
-      link_down = base.Faults.link_down @ link_down;
-      schedule = base.Faults.schedule @ crash_events crash;
-    }
-  in
-  if Faults.is_none cfg then None else Some cfg
+  let given flag v = Option.value flag ~default:v in
+  {
+    base with
+    Faults.seed = given seed base.Faults.seed;
+    cell_loss = given loss base.Faults.cell_loss;
+    cell_corrupt = given corrupt base.Faults.cell_corrupt;
+    link_down = base.Faults.link_down @ link_down;
+    schedule = base.Faults.schedule @ crash_events crash;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
@@ -325,16 +314,25 @@ let nic_collectives_arg =
            instead of the centralised node-0 manager.")
 
 let run_cmd =
-  let doc = "Run a benchmark application on a simulated cluster." in
+  let doc =
+    "Run a benchmark application on a simulated cluster. Runs the $(b,doctor) checks first: \
+     on any failure, prints them to stderr and exits 2 without running."
+  in
   let run app nic procs topology page mc_kb no_aih rx_policy rx_batch cells n iterations
       molecules matrix loss corrupt link_down fault_seed schedule crash nic_collectives trace
       trace_out metrics_out =
     let params = make_params ~page ~cells in
+    let faults = make_faults ~seed:fault_seed ~loss ~corrupt ~link_down ~schedule ~crash in
+    let verdicts =
+      Preflight.app ~params ~topology ~procs ~mc_bytes:(mc_kb * 1024) ~faults ~nic_collectives
+      @ [ Preflight.verdict "receive coalescing (rx-batch)" (Preflight.rx_batch rx_batch) ]
+    in
+    if List.exists (fun (_, v) -> Result.is_error v) verdicts then begin
+      ignore (Preflight.print stderr verdicts : int);
+      exit 2
+    end;
     let kind = make_kind ~rx_policy ~rx_batch nic ~mc_kb ~no_aih in
     let barrier_impl = if nic_collectives then `Nic_collective else `Centralised in
-    let faults =
-      make_faults ~seed:fault_seed ~loss ~corrupt ~link_down ~schedule ~crash
-    in
     setup_trace trace;
     let checksum = ref nan in
     let application cluster lrcs =
@@ -356,7 +354,7 @@ let run_cmd =
           in
           checksum := (Cholesky.run cluster lrcs (Cholesky.default_config a)).Cholesky.checksum
     in
-    let r = Runner.run ~params ?faults ~topology ~barrier_impl ~kind ~procs application in
+    let r = Runner.run ~params ~faults ~topology ~barrier_impl ~kind ~procs application in
     finish_trace ~spec:trace ~out:trace_out;
     write_metrics ~out:metrics_out r.Runner.metrics;
     Printf.printf "elapsed            %s  (%.3f x 10^9 CPU cycles)\n"
@@ -376,7 +374,7 @@ let run_cmd =
     Printf.printf "host interrupts    %d\n" r.Runner.host_interrupts;
     Printf.printf "host polls         %d (%d wasted)\n" r.Runner.polls r.Runner.wasted_polls;
     Printf.printf "checksum           %.17g\n" !checksum;
-    if faults <> None then
+    if not (Faults.is_none faults) then
       Printf.printf "faults             %d frames destroyed, %d retransmits\n"
         r.Runner.fault_drops r.Runner.retransmits;
     if r.Runner.message_mix <> [] then begin
@@ -385,7 +383,8 @@ let run_cmd =
       print_newline ()
     end
   in
-  Cmd.v (Cmd.info "run" ~doc)
+  let exits = Cmd.Exit.info 2 ~doc:"a preflight check failed; nothing ran." :: Cmd.Exit.defaults in
+  Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
       const run $ app_arg $ nic_kind $ procs $ topology_arg $ page_bytes $ mc_kb $ no_aih
       $ rx_policy_arg $ rx_batch_arg $ unrestricted $ n $ iterations $ molecules $ matrix
@@ -419,7 +418,7 @@ let sweep_cmd =
     let t1c = ref 1.0 and t1s = ref 1.0 in
     List.iter
       (fun procs ->
-        let kc = make_kind `Cni_k ~mc_kb ~no_aih in
+        let kc = make_kind Scenario.Cni ~mc_kb ~no_aih in
         let rc = Runner.run ~params ~kind:kc ~procs application in
         let rs = Runner.run ~params ~kind:Runner.standard ~procs application in
         let tc = Time.to_s_float rc.Runner.elapsed and ts = Time.to_s_float rs.Runner.elapsed in
@@ -447,12 +446,7 @@ let latency_cmd =
   let bytes = Arg.(value & opt int 4096 & info [ "bytes" ] ~doc:"Message size.") in
   let run nic bytes page mc_kb cells =
     let params = make_params ~page ~cells in
-    let kind =
-      match nic with
-      | `Standard_k -> Runner.standard
-      | `Osiris_k -> Runner.osiris
-      | `Cni_k -> Runner.cni ~mc_bytes:(mc_kb * 1024) ~aih:false ()
-    in
+    let kind = Scenario.nic_kind ~mc_bytes:(mc_kb * 1024) ~aih:false nic in
     let t = Microbench.latency ~params ~kind ~bytes () in
     Printf.printf "%d bytes: %s one-way (second send of a warm buffer)\n" bytes
       (Format.asprintf "%a" Time.pp t)
@@ -584,146 +578,23 @@ let aih_verify_cmd =
 (* doctor                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Preflight: validate a configuration without running it. Each check prints
-   one ok/FAIL line; any FAIL exits non-zero. The checks mirror what the
-   simulator would reject (or silently mis-serve) at run time: fault-model
-   sanity, the fault schedule's consistency, ADC channel admission across
-   the protocol stacks, the boards' handler-memory budget, and the WCET
-   certificates of the generated collectives firmware. *)
+(* Preflight: validate a configuration without running it — the same
+   checks [run] makes before building its cluster. Each check prints one
+   ok/FAIL line; any FAIL exits 1. *)
 let doctor_cmd =
   let doc = "Preflight checks: config sanity, channel admission, firmware certificates." in
   let run procs topology page mc_kb cells loss corrupt link_down fault_seed schedule crash
       nic_collectives =
-    let params = make_params ~page ~cells in
-    let failures = ref 0 in
-    let check name = function
-      | Ok () -> Printf.printf "ok    %s\n" name
-      | Error msg ->
-          incr failures;
-          Printf.printf "FAIL  %s: %s\n" name msg
-    in
-    let topo_check = Topology.validate topology ~nodes:procs in
-    check
-      (Printf.sprintf "topology %s fits %d node(s)" (Topology.kind_to_string topology) procs)
-      topo_check;
-    if topo_check = Ok () then
-      Printf.printf "      %s\n" (Topology.describe (Topology.of_kind topology ~nodes:procs));
     let faults = make_faults ~seed:fault_seed ~loss ~corrupt ~link_down ~schedule ~crash in
-    check "fault model (probabilities, windows, schedule)"
-      (match faults with
-      | None -> Ok ()
-      | Some cfg -> (
-          match Faults.validate ~nodes:procs cfg with
-          | Ok () -> Ok ()
-          | Error errs -> Error (String.concat "; " errs)));
-    check "fault schedule spares node 0 (DSM manager)"
-      (match faults with
-      | Some cfg
-        when List.exists (fun (e : Faults.event) -> e.Faults.e_node = 0) cfg.Faults.schedule
-        ->
-          Error "node 0 manages locks and barriers; crashing it deadlocks the DSM"
-      | Some _ | None -> Ok ());
-    let channels =
-      [
-        ("dsm", Cni_dsm.Protocol.channel);
-        ("mp", Cni_mp.Mp.channel);
-        ("mp-collectives", Cni_mp.Mp.collectives_channel);
-        ("dsm-collectives", Cni_dsm.Lrc.collectives_channel);
-      ]
+    let verdicts =
+      Preflight.app ~params:(make_params ~page ~cells) ~topology ~procs
+        ~mc_bytes:(mc_kb * 1024) ~faults ~nic_collectives
     in
-    check "ADC channel admission (distinct, ack channel reserved)"
-      (let dup =
-         List.find_opt
-           (fun (_, c) ->
-             List.length (List.filter (fun (_, c') -> c' = c) channels) > 1
-             || c = Cni_nic.Reliable.ack_channel)
-           channels
-       in
-       match dup with
-       | None -> Ok ()
-       | Some (name, c) -> Error (Printf.sprintf "channel %d (%s) collides" c name));
-    check "board memory budget (handler code + Message Cache)"
-      (let mc_bytes = mc_kb * 1024 in
-       let dsm_code = 1024 * List.length Cni_dsm.Protocol.all_kinds in
-       let mp_code = 512 in
-       let coll_code = if nic_collectives then 2048 else 0 in
-       let need = dsm_code + mp_code + coll_code in
-       let have = params.Params.nic_memory_bytes - mc_bytes in
-       if need <= have then Ok ()
-       else
-         Error
-           (Printf.sprintf "handlers need %d bytes, board has %d after %d KB Message Cache"
-              need have mc_kb));
-    check "collectives firmware WCET certificates"
-      (let module Verify = Cni_aih.Aih_verify in
-       let module Cir = Cni_mp.Collectives_ir in
-       let bad = ref None in
-       List.iter
-         (fun op ->
-           List.iter
-             (fun rank ->
-               if !bad = None && rank < procs then
-                 let p = Cir.program ~op ~rank ~size:procs ~fanout:2 in
-                 match Verify.verify p with
-                 | Ok _ -> ()
-                 | Error rjs ->
-                     bad :=
-                       Some
-                         (Printf.sprintf "%s: %s" p.Cni_aih.Aih_ir.name
-                            (Verify.explain_all rjs)))
-             [ 0; 1; procs - 1 ])
-         [ Cir.Sum; Cir.Max; Cir.Min ];
-       match !bad with None -> Ok () | Some msg -> Error msg);
-    (* every firmware handler this configuration would install must hold a
-       certificate whose per-activation WCET fits the per-cell budget at the
-       configured link rate — otherwise the board falls behind the wire *)
-    check
-      (Printf.sprintf "firmware line-rate admission (budget %d cycles/cell)"
-         (Params.line_rate_budget params))
-      (let module Verify = Cni_aih.Aih_verify in
-       let module Cir = Cni_mp.Collectives_ir in
-       let budget = Params.line_rate_budget params in
-       let programs =
-         List.concat_map
-           (fun op ->
-             List.filter_map
-               (fun rank ->
-                 if rank < procs then Some (Cir.program ~op ~rank ~size:procs ~fanout:2)
-                 else None)
-               [ 0; procs - 1 ])
-           [ Cir.Sum; Cir.Max; Cir.Min ]
-         @ [
-             Cni_nic.Reliable_ir.rx_program ~size:procs;
-             Cni_nic.Reliable_ir.tx_program ~size:procs;
-           ]
-       in
-       let bad = ref None in
-       List.iter
-         (fun (p : Cni_aih.Aih_ir.program) ->
-           if !bad = None then
-             match Verify.verify ~cell_budget:budget p with
-             | Ok _ -> ()
-             | Error rjs ->
-                 let line_rate =
-                   List.exists
-                     (fun rj ->
-                       match rj.Verify.rj_reason with
-                       | Verify.Line_rate_exceeded _ -> true
-                       | _ -> false)
-                     rjs
-                 in
-                 bad :=
-                   Some
-                     (Printf.sprintf "%s %s" p.Cni_aih.Aih_ir.name
-                        (if line_rate then Verify.explain_all rjs
-                         else "rejected: " ^ Verify.explain_all rjs)))
-         programs;
-       match !bad with None -> Ok () | Some msg -> Error msg);
-    Printf.printf "doctor: %d check(s) failed\n" !failures;
-    if !failures > 0 then exit 1
+    if Preflight.print stdout verdicts > 0 then exit 1
   in
+  let exits = Cmd.Exit.info 1 ~doc:"a check failed." :: Cmd.Exit.defaults in
   Cmd.v
-    (Cmd.info "doctor" ~doc)
+    (Cmd.info "doctor" ~doc ~exits)
     Term.(
       const run $ procs $ topology_arg $ page_bytes $ mc_kb $ unrestricted $ loss_arg
       $ corrupt_arg $ link_down_arg $ fault_seed_arg $ schedule_arg $ crash_arg
@@ -786,7 +657,6 @@ let chaos_cmd =
    report is entirely simulated metrics — no wall-clock — so two runs of
    the same profile are byte-identical, which CI checks. *)
 let scenario_cmd =
-  let module Scenario = Cni_experiments.Scenario in
   let module Kv = Cni_apps.Kv_serve in
   let name_arg =
     Arg.(
@@ -819,18 +689,6 @@ let scenario_cmd =
     | Some _, Some _ -> fail "give either NAME or --file, not both"
     | None, None -> fail "give a profile NAME or --file FILE"
   in
-  let preflight p =
-    let failures = ref 0 in
-    List.iter
-      (fun (label, verdict) ->
-        match verdict with
-        | Ok detail -> Printf.printf "ok    %s: %s\n" label detail
-        | Error msg ->
-            incr failures;
-            Printf.printf "FAIL  %s: %s\n" label msg)
-      (Scenario.preflight p);
-    !failures
-  in
   let list_cmd =
     let doc = "List the built-in scenario profiles." in
     let run () =
@@ -855,10 +713,7 @@ let scenario_cmd =
   let doctor_cmd =
     let doc = "Preflight a profile without running it (exit 1 on any failed check)." in
     let run name file =
-      let p = load name file in
-      let failures = preflight p in
-      Printf.printf "doctor: %d check(s) failed\n" failures;
-      if failures > 0 then exit 1
+      if Preflight.print stdout (Scenario.preflight (load name file)) > 0 then exit 1
     in
     Cmd.v (Cmd.info "doctor" ~doc) Term.(const run $ name_arg $ file_arg)
   in
@@ -866,8 +721,8 @@ let scenario_cmd =
     let doc = "Preflight, then run a profile and report its latency tail." in
     let run name file =
       let p = load name file in
-      let failures = preflight p in
-      if failures > 0 then fail "preflight failed; not running";
+      if Preflight.print ~quiet:true stdout (Scenario.preflight p) > 0 then
+        fail "preflight failed; not running";
       let r = Scenario.run p in
       Printf.printf "profile            %s\n" p.Scenario.name;
       Printf.printf "requests           %d issued, %d answered (gets %d, puts %d)\n"

@@ -166,89 +166,97 @@ let validate ~nodes cfg =
      drop 0
      down NODE FROM_US UPTO_US
      crash NODE AT_US [scrub]
-     restart NODE AT_US *)
+     restart NODE AT_US
+
+   A host grammar that embeds this one renames the seed directive with
+   [seed_key]; every other directive is spelled the same everywhere. *)
+
+let directive ?(seed_key = "seed") cfg words =
+  let ( let* ) = Result.bind in
+  let int_of s =
+    match int_of_string_opt s with
+    | Some n -> Ok n
+    | None -> Error (Printf.sprintf "expected an integer, got %S" s)
+  in
+  let prob set p =
+    match float_of_string_opt p with
+    | Some f -> Some (Ok (set f))
+    | None -> Some (Error (Printf.sprintf "expected a number, got %S" p))
+  in
+  let event n at e_fault =
+    let* e_node = int_of n in
+    let* at_us = int_of at in
+    Ok { cfg with schedule = cfg.schedule @ [ { e_node; e_at = Time.us at_us; e_fault } ] }
+  in
+  match words with
+  | [ k; s ] when k = seed_key -> Some (Result.map (fun seed -> { cfg with seed }) (int_of s))
+  | [ "loss"; p ] -> prob (fun cell_loss -> { cfg with cell_loss }) p
+  | [ "corrupt"; p ] -> prob (fun cell_corrupt -> { cfg with cell_corrupt }) p
+  | [ "drop"; p ] -> prob (fun frame_drop -> { cfg with frame_drop }) p
+  | [ "down"; n; a; b ] ->
+      Some
+        (let* w_node = int_of n in
+         let* from_us = int_of a in
+         let* upto_us = int_of b in
+         let w = { w_node; w_from = Time.us from_us; w_upto = Time.us upto_us } in
+         Ok { cfg with link_down = cfg.link_down @ [ w ] })
+  | [ "crash"; n; at ] -> Some (event n at (Crash { scrub = false }))
+  | [ "crash"; n; at; "scrub" ] -> Some (event n at (Crash { scrub = true }))
+  | [ "restart"; n; at ] -> Some (event n at Restart)
+  | k :: _ when k = seed_key -> Some (Error (k ^ " takes one integer"))
+  | ("loss" | "corrupt" | "drop") :: _ -> Some (Error (List.hd words ^ " takes one number"))
+  | "down" :: _ -> Some (Error "down takes exactly three fields: NODE FROM_US UPTO_US")
+  | "crash" :: _ -> Some (Error "crash takes NODE AT_US [scrub]")
+  | "restart" :: _ -> Some (Error "restart takes exactly two fields: NODE AT_US")
+  | _ -> None
 
 let config_of_string text =
-  let lineno = ref 0 in
-  let strip line = match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
+  let strip line =
+    match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line
   in
-  let fields line =
+  let words line =
     String.split_on_char ' ' (String.trim (strip line))
     |> List.concat_map (String.split_on_char '\t')
     |> List.filter (fun s -> s <> "")
   in
-  let fail fmt = Printf.ksprintf (fun s -> Error (Printf.sprintf "line %d: %s" !lineno s)) fmt in
-  let int_of s = match int_of_string_opt s with
-    | Some n -> Ok n
-    | None -> fail "expected an integer, got %S" s
-  in
-  let float_of s = match float_of_string_opt s with
-    | Some f -> Ok f
-    | None -> fail "expected a number, got %S" s
-  in
-  let ( let* ) = Result.bind in
-  let rec go cfg = function
-    | [] -> Ok { cfg with link_down = List.rev cfg.link_down; schedule = List.rev cfg.schedule }
+  let rec go lineno cfg = function
+    | [] -> Ok cfg
     | line :: rest -> (
-        incr lineno;
-        match fields line with
-        | [] -> go cfg rest
-        | [ "seed"; s ] ->
-            let* seed = int_of s in
-            go { cfg with seed } rest
-        | [ "loss"; p ] ->
-            let* cell_loss = float_of p in
-            go { cfg with cell_loss } rest
-        | [ "corrupt"; p ] ->
-            let* cell_corrupt = float_of p in
-            go { cfg with cell_corrupt } rest
-        | [ "drop"; p ] ->
-            let* frame_drop = float_of p in
-            go { cfg with frame_drop } rest
-        | [ "down"; n; a; b ] ->
-            let* node = int_of n in
-            let* from_us = int_of a in
-            let* upto_us = int_of b in
-            let w = { w_node = node; w_from = Time.us from_us; w_upto = Time.us upto_us } in
-            go { cfg with link_down = w :: cfg.link_down } rest
-        | "crash" :: n :: at :: tail when tail = [] || tail = [ "scrub" ] ->
-            let* node = int_of n in
-            let* at_us = int_of at in
-            let e =
-              { e_node = node; e_at = Time.us at_us; e_fault = Crash { scrub = tail <> [] } }
-            in
-            go { cfg with schedule = e :: cfg.schedule } rest
-        | [ "restart"; n; at ] ->
-            let* node = int_of n in
-            let* at_us = int_of at in
-            let e = { e_node = node; e_at = Time.us at_us; e_fault = Restart } in
-            go { cfg with schedule = e :: cfg.schedule } rest
-        | word :: _ ->
-            fail
-              "unknown directive %S (expected seed, loss, corrupt, drop, down, crash, restart)"
-              word)
+        let fail msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
+        match words line with
+        | [] -> go (lineno + 1) cfg rest
+        | ws -> (
+            match directive cfg ws with
+            | Some (Ok cfg) -> go (lineno + 1) cfg rest
+            | Some (Error msg) -> fail msg
+            | None ->
+                fail
+                  (Printf.sprintf
+                     "unknown directive %S (expected seed, loss, corrupt, drop, down, crash, \
+                      restart)"
+                     (List.hd ws))))
   in
-  go none (String.split_on_char '\n' text)
+  go 1 none (String.split_on_char '\n' text)
 
-let config_to_string cfg =
+let us_of t = Time.to_ps t / 1_000_000
+
+let config_to_string ?(seed_key = "seed") cfg =
   let b = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  if cfg.seed <> none.seed then line "seed %d" cfg.seed;
-  if cfg.cell_loss <> 0. then line "loss %g" cfg.cell_loss;
-  if cfg.cell_corrupt <> 0. then line "corrupt %g" cfg.cell_corrupt;
-  if cfg.frame_drop <> 0. then line "drop %g" cfg.frame_drop;
-  List.iter
-    (fun w ->
-      line "down %d %.0f %.0f" w.w_node (Time.to_us_float w.w_from) (Time.to_us_float w.w_upto))
-    cfg.link_down;
-  List.iter
-    (fun e ->
-      match e.e_fault with
-      | Crash { scrub } ->
-          line "crash %d %.0f%s" e.e_node (Time.to_us_float e.e_at)
-            (if scrub then " scrub" else "")
-      | Restart -> line "restart %d %.0f" e.e_node (Time.to_us_float e.e_at))
-    cfg.schedule;
+  if cfg <> none then begin
+    line "%s %d" seed_key cfg.seed;
+    line "loss %.17g" cfg.cell_loss;
+    line "corrupt %.17g" cfg.cell_corrupt;
+    line "drop %.17g" cfg.frame_drop;
+    List.iter
+      (fun w -> line "down %d %d %d" w.w_node (us_of w.w_from) (us_of w.w_upto))
+      cfg.link_down;
+    List.iter
+      (fun e ->
+        match e.e_fault with
+        | Crash { scrub } ->
+            line "crash %d %d%s" e.e_node (us_of e.e_at) (if scrub then " scrub" else "")
+        | Restart -> line "restart %d %d" e.e_node (us_of e.e_at))
+      cfg.schedule
+  end;
   Buffer.contents b

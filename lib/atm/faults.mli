@@ -91,10 +91,20 @@ val validate : nodes:int -> config -> (unit, string list) result
     The error carries the offending line number. *)
 val config_of_string : string -> (config, string) result
 
-(** Render a config back into the text format (omitting defaults); a
-    round-trip through {!config_of_string} yields an equal config for
-    microsecond-aligned times. *)
-val config_to_string : config -> string
+(** [directive ?seed_key cfg words] applies one directive, already split
+    into words, to [cfg]: windows and events are appended in declaration
+    order. [None] when the first word is no fault directive, so a host
+    grammar (a scenario profile) can embed this one; [seed_key] (default
+    ["seed"]) renames the seed directive for a host whose own [seed] means
+    something else. *)
+val directive : ?seed_key:string -> config -> string list -> (config, string) result option
+
+(** Render a config in the text format: nothing for {!none}, otherwise
+    every scalar field (probabilities at [%.17g]), then the windows and the
+    events in declaration order. A round-trip through {!config_of_string}
+    (or through {!directive} with the same [seed_key]) yields an equal
+    config when every time is a whole number of microseconds. *)
+val config_to_string : ?seed_key:string -> config -> string
 
 type t
 

@@ -920,6 +920,7 @@ let create cluster space_ costs max_resident ~id =
 (* The wire channel the NIC-resident barrier's combining tree claims
    (Protocol.channel = 1 carries the point-to-point DSM traffic). *)
 let collectives_channel = 4
+let code_bytes = 1024
 
 let install cluster space_ ?(costs = default_costs) ?(max_resident_pages = max_int)
     ?(barrier_impl = `Centralised) ?barrier_timeout () =
@@ -951,7 +952,7 @@ let install cluster space_ ?(costs = default_costs) ?(max_resident_pages = max_i
       List.iter
         (fun kind ->
           let pattern = Wire.pattern_channel_kind ~channel:Protocol.channel ~kind in
-          ignore (Nic.install_handler board ~pattern ~code_bytes:1024 (handle t)))
+          ignore (Nic.install_handler board ~pattern ~code_bytes (handle t)))
         Protocol.all_kinds;
       Nic.set_default_handler board (fun _ctx pkt ->
           failwith

@@ -83,6 +83,10 @@ val install :
     ({!Protocol.channel} carries the point-to-point DSM traffic). *)
 val collectives_channel : int
 
+(** Board memory each protocol-kind handler claims: one handler per
+    {!Protocol.all_kinds} entry on every board. *)
+val code_bytes : int
+
 val me : t -> int
 val node : t -> Protocol.msg Cni_cluster.Node.t
 val space : t -> Space.t

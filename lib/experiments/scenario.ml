@@ -52,18 +52,43 @@ let default =
     faults = Faults.none;
   }
 
-let nic_to_string = function Cni -> "cni" | Osiris -> "osiris" | Standard -> "standard"
+let nic_names = [ ("cni", Cni); ("osiris", Osiris); ("standard", Standard) ]
 
-let rx_to_string = function
-  | Interrupt -> "interrupt"
-  | Poll -> "poll"
-  | Hybrid -> "hybrid"
-  | Adaptive -> "adaptive"
+let rx_names =
+  [ ("interrupt", Interrupt); ("poll", Poll); ("hybrid", Hybrid); ("adaptive", Adaptive) ]
+
+let nic_kind ?mc_bytes ?(aih = true) ?(rx_policy = Hybrid) ?(rx_batch = 1) = function
+  | Cni ->
+      let rx_policy =
+        match rx_policy with
+        | Interrupt -> Nic.Rx_interrupt
+        | Poll -> Nic.Rx_poll
+        | Hybrid -> Nic.Rx_hybrid
+        | Adaptive -> Nic.Rx_adaptive Nic.default_rx_adaptive
+      in
+      Runner.cni ?mc_bytes ~aih ~rx_policy ~rx_batch ()
+  | Osiris -> Runner.osiris
+  | Standard -> Runner.standard
 
 let offered_rps p = float_of_int p.clients *. Arrival.mean_rate_per_s p.arrival
 
+let kv_config p =
+  {
+    Kv_serve.clients = p.clients;
+    servers = p.servers;
+    requests_per_client = p.requests_per_client;
+    arrival =
+      (fun client ->
+        let g = Arrival.create ~seed:(p.seed + (104729 * (client + 1))) p.arrival in
+        fun () -> Arrival.next_gap g);
+    value_bytes = p.value_bytes;
+    put_pct = p.put_pct;
+    seed = p.seed;
+    service_cycles = p.service_cycles;
+  }
+
 (* ------------------------------------------------------------------ *)
-(* Validation                                                          *)
+(* Validation and preflight                                            *)
 (* ------------------------------------------------------------------ *)
 
 let name_ok n =
@@ -71,65 +96,86 @@ let name_ok n =
   && String.for_all (fun c -> (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-') n
   && n.[0] <> '-'
 
-(* every crash must be matched by a later restart — a server that stays
-   down strands its clients' blocking receives and the watchdog fires *)
-let unpaired_crashes sched =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      let c, r = Option.value (Hashtbl.find_opt tbl e.Faults.e_node) ~default:(0, 0) in
-      match e.Faults.e_fault with
-      | Faults.Crash _ -> Hashtbl.replace tbl e.Faults.e_node (c + 1, r)
-      | Faults.Restart -> Hashtbl.replace tbl e.Faults.e_node (c, r + 1))
-    sched;
-  Hashtbl.fold (fun node (c, r) acc -> if c <> r then node :: acc else acc) tbl []
-  |> List.sort compare
+(* The profile's own consistency, labelled as the doctor prints it;
+   [validate] is these checks' problems, flattened. *)
+let checks p =
+  let nodes = p.clients + p.servers in
+  let fields =
+    let name =
+      if name_ok p.name then []
+      else
+        [
+          Printf.sprintf
+            "name must be non-empty lowercase-kebab ([a-z0-9-], not starting with '-'): %S"
+            p.name;
+        ]
+    in
+    let kv = match Kv_serve.validate (kv_config p) with Ok () -> [] | Error es -> es in
+    match name @ kv @ Preflight.errors [ Preflight.rx_batch p.rx_batch ] with
+    | [] ->
+        Ok
+          (lazy
+            (Printf.sprintf "%d clients x %d requests against %d servers" p.clients
+               p.requests_per_client p.servers))
+    | es -> Error es
+  in
+  let arrival =
+    match Arrival.validate_kind p.arrival with
+    | Ok () ->
+        Ok
+          (lazy
+            (Printf.sprintf "%s (%.0f req/s offered)" (Arrival.kind_to_string p.arrival)
+               (offered_rps p)))
+    | Error es -> Error es
+  in
+  [
+    ("profile fields", fields);
+    ("arrival process", arrival);
+    ("topology", Preflight.topology p.topology ~nodes);
+    ("fault model", Preflight.faults ~nodes p.faults);
+  ]
 
 let validate p =
-  let errs = ref [] in
-  let bad fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
-  if not (name_ok p.name) then
-    bad "name must be non-empty lowercase-kebab ([a-z0-9-], not starting with '-'): %S"
-      p.name;
-  (match
-     Kv_serve.validate
-       {
-         Kv_serve.clients = p.clients;
-         servers = p.servers;
-         requests_per_client = p.requests_per_client;
-         arrival = (fun _ () -> Time.ps 1);
-         value_bytes = p.value_bytes;
-         put_pct = p.put_pct;
-         seed = p.seed;
-         service_cycles = p.service_cycles;
-       }
-   with
-  | Ok () -> ()
-  | Error es -> errs := List.rev_append es !errs);
-  (match Arrival.validate_kind p.arrival with
-  | Ok () -> ()
-  | Error es -> errs := List.rev_append es !errs);
-  if p.rx_batch < 1 then bad "rx-batch must be >= 1 (got %d)" p.rx_batch;
-  let nodes = p.clients + p.servers in
-  (match Topology.validate p.topology ~nodes with
-  | Ok () -> ()
-  | Error e -> bad "topology: %s" e);
-  (match Faults.validate ~nodes p.faults with
-  | Ok () -> ()
-  | Error es -> errs := List.rev_append es !errs);
-  (match unpaired_crashes p.faults.Faults.schedule with
-  | [] -> ()
-  | ns ->
-      bad "crash without matching restart on node%s %s (the workload could never drain)"
-        (if List.length ns > 1 then "s" else "")
-        (String.concat ", " (List.map string_of_int ns)));
-  if !errs = [] then Ok () else Error (List.rev !errs)
+  match Preflight.errors (List.map snd (checks p)) with [] -> Ok () | es -> Error es
+
+let utilisation p =
+  if p.service_cycles = 0 then 0.
+  else
+    offered_rps p *. float_of_int p.service_cycles
+    /. (float_of_int p.servers *. float_of_int Params.default.Params.cpu_hz)
+
+let preflight p =
+  let capacity =
+    let u = utilisation p in
+    if u >= 1. then
+      Error
+        [
+          Printf.sprintf
+            "offered load is %.0f%% of aggregate service capacity — the queue (and the \
+             tail) grows without bound"
+            (u *. 100.);
+        ]
+    else Ok (lazy (Printf.sprintf "service utilisation %.1f%%" (u *. 100.)))
+  in
+  List.map
+    (fun (label, c) -> Preflight.verdict label c)
+    (checks p
+    @ [
+        ("service capacity", capacity);
+        ( "firmware line-rate admission",
+          Preflight.line_rate Params.default ~nodes:(p.clients + p.servers) );
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Text format                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let us_of_time t = Time.to_ps t / 1_000_000
+let on_off = [ ("on", true); ("off", false) ]
+let name_of names v = fst (List.find (fun (_, v') -> v' = v) names)
+
+(* the fault block is Faults' own grammar; only its seed key is renamed,
+   because a profile's [seed] is the master seed *)
+let fault_seed_key = "fault-seed"
 
 let to_string p =
   let b = Buffer.create 512 in
@@ -144,369 +190,83 @@ let to_string p =
   line "put-pct %d" p.put_pct;
   line "service-cycles %d" p.service_cycles;
   line "seed %d" p.seed;
-  line "nic %s" (nic_to_string p.nic);
-  line "aih %s" (if p.aih then "on" else "off");
-  line "rx-policy %s" (rx_to_string p.rx_policy);
+  line "nic %s" (name_of nic_names p.nic);
+  line "aih %s" (name_of on_off p.aih);
+  line "rx-policy %s" (name_of rx_names p.rx_policy);
   line "rx-batch %d" p.rx_batch;
   line "topology %s" (Topology.kind_to_string p.topology);
-  if p.faults <> Faults.none then begin
-    let f = p.faults in
-    line "fault-seed %d" f.Faults.seed;
-    line "loss %.17g" f.Faults.cell_loss;
-    line "corrupt %.17g" f.Faults.cell_corrupt;
-    line "drop %.17g" f.Faults.frame_drop;
-    List.iter
-      (fun w ->
-        line "down %d %d %d" w.Faults.w_node (us_of_time w.Faults.w_from)
-          (us_of_time w.Faults.w_upto))
-      f.Faults.link_down;
-    List.iter
-      (fun e ->
-        match e.Faults.e_fault with
-        | Faults.Crash { scrub } ->
-            line "crash %d %d%s" e.Faults.e_node (us_of_time e.Faults.e_at)
-              (if scrub then " scrub" else "")
-        | Faults.Restart -> line "restart %d %d" e.Faults.e_node (us_of_time e.Faults.e_at))
-      f.Faults.schedule
-  end;
+  Buffer.add_string b (Faults.config_to_string ~seed_key:fault_seed_key p.faults);
   Buffer.contents b
 
-let of_string text =
-  let p = ref default in
-  let got_name = ref false in
-  let err = ref None in
-  let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun i raw ->
-      let ln = i + 1 in
-      let fail fmt =
-        Printf.ksprintf
-          (fun m -> if !err = None then err := Some (Printf.sprintf "line %d: %s" ln m))
-          fmt
-      in
-      let line =
-        match String.index_opt raw '#' with
-        | Some j -> String.sub raw 0 j
-        | None -> raw
-      in
-      let line = String.trim line in
-      if line <> "" && !err = None then begin
-        let key, rest =
-          match String.index_opt line ' ' with
-          | Some j ->
-              ( String.sub line 0 j,
-                String.trim (String.sub line j (String.length line - j)) )
-          | None -> (line, "")
-        in
-        let fields = List.filter (fun f -> f <> "") (String.split_on_char ' ' rest) in
-        let intv what k =
-          match int_of_string_opt rest with
-          | Some v -> k v
-          | None -> fail "%s: expected an integer, got %S" what rest
-        in
-        let floatv what k =
-          match float_of_string_opt rest with
-          | Some v -> k v
-          | None -> fail "%s: expected a number, got %S" what rest
-        in
-        let int_field what s k =
-          match int_of_string_opt s with
-          | Some v -> k v
-          | None -> fail "%s: expected an integer, got %S" what s
-        in
-        let set f = p := f !p in
-        match key with
-        | "name" ->
-            if rest = "" then fail "name needs a value"
-            else begin
-              got_name := true;
-              set (fun p -> { p with name = rest })
-            end
-        | "summary" -> set (fun p -> { p with summary = rest })
-        | "clients" -> intv "clients" (fun v -> set (fun p -> { p with clients = v }))
-        | "servers" -> intv "servers" (fun v -> set (fun p -> { p with servers = v }))
-        | "requests" ->
-            intv "requests" (fun v -> set (fun p -> { p with requests_per_client = v }))
-        | "arrival" -> (
-            match Arrival.kind_of_string rest with
-            | Ok k -> set (fun p -> { p with arrival = k })
-            | Error e -> fail "arrival: %s" e)
-        | "value-bytes" ->
-            intv "value-bytes" (fun v -> set (fun p -> { p with value_bytes = v }))
-        | "put-pct" -> intv "put-pct" (fun v -> set (fun p -> { p with put_pct = v }))
-        | "service-cycles" ->
-            intv "service-cycles" (fun v -> set (fun p -> { p with service_cycles = v }))
-        | "seed" -> intv "seed" (fun v -> set (fun p -> { p with seed = v }))
-        | "nic" -> (
-            match rest with
-            | "cni" -> set (fun p -> { p with nic = Cni })
-            | "osiris" -> set (fun p -> { p with nic = Osiris })
-            | "standard" -> set (fun p -> { p with nic = Standard })
-            | s -> fail "nic: expected cni, osiris or standard, got %S" s)
-        | "aih" -> (
-            match rest with
-            | "on" -> set (fun p -> { p with aih = true })
-            | "off" -> set (fun p -> { p with aih = false })
-            | s -> fail "aih: expected on or off, got %S" s)
-        | "rx-policy" -> (
-            match rest with
-            | "interrupt" -> set (fun p -> { p with rx_policy = Interrupt })
-            | "poll" -> set (fun p -> { p with rx_policy = Poll })
-            | "hybrid" -> set (fun p -> { p with rx_policy = Hybrid })
-            | "adaptive" -> set (fun p -> { p with rx_policy = Adaptive })
-            | s -> fail "rx-policy: expected interrupt, poll, hybrid or adaptive, got %S" s)
-        | "rx-batch" -> intv "rx-batch" (fun v -> set (fun p -> { p with rx_batch = v }))
-        | "topology" -> (
-            match Topology.kind_of_string rest with
-            | Ok k -> set (fun p -> { p with topology = k })
-            | Error e -> fail "topology: %s" e)
-        | "fault-seed" ->
-            intv "fault-seed"
-              (fun v -> set (fun p -> { p with faults = { p.faults with Faults.seed = v } }))
-        | "loss" ->
-            floatv "loss"
-              (fun v ->
-                set (fun p -> { p with faults = { p.faults with Faults.cell_loss = v } }))
-        | "corrupt" ->
-            floatv "corrupt"
-              (fun v ->
-                set (fun p -> { p with faults = { p.faults with Faults.cell_corrupt = v } }))
-        | "drop" ->
-            floatv "drop"
-              (fun v ->
-                set (fun p -> { p with faults = { p.faults with Faults.frame_drop = v } }))
-        | "down" -> (
-            match fields with
-            | [ n; f; u ] ->
-                int_field "down node" n (fun n ->
-                    int_field "down start" f (fun f ->
-                        int_field "down end" u (fun u ->
-                            let w =
-                              {
-                                Faults.w_node = n;
-                                w_from = Time.us f;
-                                w_upto = Time.us u;
-                              }
-                            in
-                            set (fun p ->
-                                {
-                                  p with
-                                  faults =
-                                    {
-                                      p.faults with
-                                      Faults.link_down =
-                                        p.faults.Faults.link_down @ [ w ];
-                                    };
-                                }))))
-            | _ -> fail "down takes exactly three fields: NODE FROM_US UPTO_US")
-        | "crash" -> (
-            let add n at scrub =
-              int_field "crash node" n (fun n ->
-                  int_field "crash time" at (fun at ->
-                      let e =
-                        {
-                          Faults.e_at = Time.us at;
-                          e_node = n;
-                          e_fault = Faults.Crash { scrub };
-                        }
-                      in
-                      set (fun p ->
-                          {
-                            p with
-                            faults =
-                              {
-                                p.faults with
-                                Faults.schedule = p.faults.Faults.schedule @ [ e ];
-                              };
-                          })))
-            in
-            match fields with
-            | [ n; at ] -> add n at false
-            | [ n; at; "scrub" ] -> add n at true
-            | _ -> fail "crash takes NODE AT_US [scrub]")
-        | "restart" -> (
-            match fields with
-            | [ n; at ] ->
-                int_field "restart node" n (fun n ->
-                    int_field "restart time" at (fun at ->
-                        let e =
-                          { Faults.e_at = Time.us at; e_node = n; e_fault = Faults.Restart }
-                        in
-                        set (fun p ->
-                            {
-                              p with
-                              faults =
-                                {
-                                  p.faults with
-                                  Faults.schedule = p.faults.Faults.schedule @ [ e ];
-                                };
-                            })))
-            | _ -> fail "restart takes exactly two fields: NODE AT_US")
-        | k -> fail "unknown key %S" k
-      end)
-    lines;
-  match !err with
-  | Some e -> Error e
-  | None -> if not !got_name then Error "profile has no name line" else Ok !p
-
-(* ------------------------------------------------------------------ *)
-(* Preflight                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let utilisation p =
-  if p.service_cycles = 0 then 0.
-  else
-    offered_rps p *. float_of_int p.service_cycles
-    /. (float_of_int p.servers *. float_of_int Params.default.Params.cpu_hz)
-
-let preflight p =
-  let nodes = p.clients + p.servers in
-  let fields =
-    let errs = ref [] in
-    if not (name_ok p.name) then errs := [ Printf.sprintf "bad name %S" p.name ];
-    (match
-       Kv_serve.validate
-         {
-           Kv_serve.clients = p.clients;
-           servers = p.servers;
-           requests_per_client = p.requests_per_client;
-           arrival = (fun _ () -> Time.ps 1);
-           value_bytes = p.value_bytes;
-           put_pct = p.put_pct;
-           seed = p.seed;
-           service_cycles = p.service_cycles;
-         }
-     with
-    | Ok () -> ()
-    | Error es -> errs := !errs @ es);
-    if p.rx_batch < 1 then
-      errs := !errs @ [ Printf.sprintf "rx-batch must be >= 1 (got %d)" p.rx_batch ];
-    match !errs with
-    | [] ->
-        Ok
-          (Printf.sprintf "%d clients x %d requests against %d servers" p.clients
-             p.requests_per_client p.servers)
-    | es -> Error (String.concat "; " es)
-  in
-  let arrival =
-    match Arrival.validate_kind p.arrival with
-    | Ok () ->
-        Ok
-          (Printf.sprintf "%s (%.0f req/s offered)" (Arrival.kind_to_string p.arrival)
-             (offered_rps p))
-    | Error es -> Error (String.concat "; " es)
-  in
-  let topology =
-    match Topology.validate p.topology ~nodes with
-    | Ok () -> Ok (Topology.describe (Topology.of_kind p.topology ~nodes))
-    | Error e -> Error e
-  in
-  let faults =
-    match Faults.validate ~nodes p.faults with
-    | Error es -> Error (String.concat "; " es)
-    | Ok () -> (
-        match unpaired_crashes p.faults.Faults.schedule with
-        | [] ->
-            if Faults.is_none p.faults then Ok "fault-free"
-            else
-              Ok
-                (Printf.sprintf "loss %g, corrupt %g, drop %g, %d windows, %d events"
-                   p.faults.Faults.cell_loss p.faults.Faults.cell_corrupt
-                   p.faults.Faults.frame_drop
-                   (List.length p.faults.Faults.link_down)
-                   (List.length p.faults.Faults.schedule))
-        | ns ->
-            Error
-              (Printf.sprintf "crash without matching restart on node %s"
-                 (String.concat ", " (List.map string_of_int ns))))
-  in
-  let capacity =
-    let u = utilisation p in
-    if u >= 1. then
+let enum names s =
+  match List.assoc_opt s names with
+  | Some v -> Ok v
+  | None ->
       Error
-        (Printf.sprintf
-           "offered load is %.0f%% of aggregate service capacity — the queue (and the \
-            tail) grows without bound"
-           (u *. 100.))
-    else Ok (Printf.sprintf "service utilisation %.1f%%" (u *. 100.))
+        (Printf.sprintf "expected one of %s, got %S" (String.concat ", " (List.map fst names)) s)
+
+let parse_line p key rest words =
+  let parsed set r = Result.map set (Result.map_error (fun e -> key ^ ": " ^ e) r) in
+  let int set =
+    parsed set
+      (Option.to_result (int_of_string_opt rest)
+         ~none:(Printf.sprintf "expected an integer, got %S" rest))
   in
-  let firmware =
-    (* every firmware handler a profile of this size could install must fit
-       the cell inter-arrival budget at the default link rate — the same
-       admission Nic.install_handler_verified enforces at install time, so
-       a FAIL here is a run that would die on its first install *)
-    let module Verify = Cni_aih.Aih_verify in
-    let budget = Params.line_rate_budget Params.default in
-    let size = max 2 nodes in
-    let handlers =
-      [
-        ("reliable-rx", Cni_nic.Reliable_ir.rx_program ~size);
-        ("reliable-tx-stamp", Cni_nic.Reliable_ir.tx_program ~size);
-      ]
-    in
-    let bad =
-      List.filter_map
-        (fun (name, prog) ->
-          match Verify.verify ~cell_budget:budget prog with
-          | Ok _ -> None
-          | Error rjs -> Some (Printf.sprintf "%s: %s" name (Verify.explain_all rjs)))
-        handlers
-    in
-    match bad with
-    | [] ->
-        Ok
-          (Printf.sprintf "%d handlers fit the %d-cycle/cell budget" (List.length handlers)
-             budget)
-    | es -> Error (String.concat "; " es)
+  match Faults.directive ~seed_key:fault_seed_key p.faults (key :: words) with
+  | Some r -> Result.map (fun faults -> { p with faults }) r
+  | None -> (
+      match key with
+      | "name" -> if rest = "" then Error "name needs a value" else Ok { p with name = rest }
+      | "summary" -> Ok { p with summary = rest }
+      | "clients" -> int (fun clients -> { p with clients })
+      | "servers" -> int (fun servers -> { p with servers })
+      | "requests" -> int (fun requests_per_client -> { p with requests_per_client })
+      | "arrival" -> parsed (fun arrival -> { p with arrival }) (Arrival.kind_of_string rest)
+      | "value-bytes" -> int (fun value_bytes -> { p with value_bytes })
+      | "put-pct" -> int (fun put_pct -> { p with put_pct })
+      | "service-cycles" -> int (fun service_cycles -> { p with service_cycles })
+      | "seed" -> int (fun seed -> { p with seed })
+      | "nic" -> parsed (fun nic -> { p with nic }) (enum nic_names rest)
+      | "aih" -> parsed (fun aih -> { p with aih }) (enum on_off rest)
+      | "rx-policy" -> parsed (fun rx_policy -> { p with rx_policy }) (enum rx_names rest)
+      | "rx-batch" -> int (fun rx_batch -> { p with rx_batch })
+      | "topology" -> parsed (fun topology -> { p with topology }) (Topology.kind_of_string rest)
+      | k -> Error (Printf.sprintf "unknown key %S" k))
+
+let of_string text =
+  let rec go ln p = function
+    | [] -> if p.name = "" then Error "profile has no name line" else Ok p
+    | raw :: lines -> (
+        let line =
+          String.trim
+            (match String.index_opt raw '#' with Some j -> String.sub raw 0 j | None -> raw)
+        in
+        if line = "" then go (ln + 1) p lines
+        else
+          let key, rest =
+            match String.index_opt line ' ' with
+            | Some j ->
+                (String.sub line 0 j, String.trim (String.sub line j (String.length line - j)))
+            | None -> (line, "")
+          in
+          let words = List.filter (fun f -> f <> "") (String.split_on_char ' ' rest) in
+          match parse_line p key rest words with
+          | Ok p -> go (ln + 1) p lines
+          | Error e -> Error (Printf.sprintf "line %d: %s" ln e))
   in
-  [
-    ("profile fields", fields);
-    ("arrival process", arrival);
-    ("topology", topology);
-    ("fault model", faults);
-    ("service capacity", capacity);
-    ("firmware line-rate admission", firmware);
-  ]
+  go 1 default (String.split_on_char '\n' text)
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let to_nic_kind p =
-  match p.nic with
-  | Cni ->
-      let rx_policy =
-        match p.rx_policy with
-        | Interrupt -> Nic.Rx_interrupt
-        | Poll -> Nic.Rx_poll
-        | Hybrid -> Nic.Rx_hybrid
-        | Adaptive -> Nic.Rx_adaptive Nic.default_rx_adaptive
-      in
-      Runner.cni ~aih:p.aih ~rx_policy ~rx_batch:p.rx_batch ()
-  | Osiris -> Runner.osiris
-  | Standard -> Runner.standard
-
 let run ?watchdog p =
   (match validate p with
   | Ok () -> ()
   | Error errs -> invalid_arg ("Scenario.run: " ^ String.concat "; " errs));
-  let cfg =
-    {
-      Kv_serve.clients = p.clients;
-      servers = p.servers;
-      requests_per_client = p.requests_per_client;
-      arrival =
-        (fun client ->
-          let g = Arrival.create ~seed:(p.seed + (104729 * (client + 1))) p.arrival in
-          fun () -> Arrival.next_gap g);
-      value_bytes = p.value_bytes;
-      put_pct = p.put_pct;
-      seed = p.seed;
-      service_cycles = p.service_cycles;
-    }
-  in
-  Kv_serve.run ?watchdog ~faults:p.faults ~topology:p.topology ~nic_kind:(to_nic_kind p)
-    cfg
+  Kv_serve.run ?watchdog ~faults:p.faults ~topology:p.topology
+    ~nic_kind:(nic_kind ~aih:p.aih ~rx_policy:p.rx_policy ~rx_batch:p.rx_batch p.nic)
+    (kv_config p)
 
 (* ------------------------------------------------------------------ *)
 (* Built-ins                                                           *)

@@ -17,6 +17,19 @@ type nic = Cni | Osiris | Standard
     [Osiris] and [Standard] interfaces, which have fixed receive paths. *)
 type rx = Interrupt | Poll | Hybrid | Adaptive
 
+(** Each constructor's name, as the profile text and the CLI spell it. *)
+val nic_names : (string * nic) list
+
+val rx_names : (string * rx) list
+
+(** [nic_kind nic] builds the cluster's NIC kind: for [Cni], the board with
+    [mc_bytes] of Message Cache (default Table 1's), handlers as AIH code
+    unless [aih = false], and the receive policy [rx_policy] (default
+    [Hybrid]) coalescing up to [rx_batch] (default 1) frames per wakeup. *)
+val nic_kind :
+  ?mc_bytes:int -> ?aih:bool -> ?rx_policy:rx -> ?rx_batch:int -> nic ->
+  Cni_cluster.Cluster.nic_kind
+
 (** The complete recipe for one serving run. *)
 type profile = {
   name : string;  (** lowercase-kebab identifier ([baseline-16], ...) *)
@@ -57,7 +70,8 @@ val find : string -> profile option
 (** [validate p] collects {e every} inconsistency — field ranges, arrival
     parameters, name format, topology vs node count, fault model vs node
     count, and crash events without a matching restart (which would strand
-    the workload's blocking receives) — rather than stopping at the first. *)
+    the workload's blocking receives) — rather than stopping at the first.
+    These are the first four checks of {!preflight}, flattened. *)
 val validate : profile -> (unit, string list) result
 
 (** Parse the profile text format (see docs/SCENARIOS.md): one
@@ -71,18 +85,18 @@ val of_string : string -> (profile, string) result
 (** Render a profile in the text format. The round-trip
     [of_string (to_string p) = Ok p] is exact: floats are printed with
     full precision and fault times at microsecond granularity (which is
-    how they are declared). *)
+    how they are declared). The fault block is {!Cni_atm.Faults}'s own
+    grammar, with its seed key spelled [fault-seed]. *)
 val to_string : profile -> string
 
 (** Preflight checks for the doctor, cheap enough to run before every long
     run: each entry is a labelled verdict, [Ok detail] or [Error problem].
-    Covers field validation, topology admission (with the resolved shape),
-    the fault model, crash/restart pairing, a service-capacity check
-    that flags offered load at or beyond the servers' aggregate service
-    rate (where the queue — and the tail — grows without bound), and a
-    firmware line-rate admission check: the streaming reliable-delivery
-    handlers a cluster of this size would install must fit the per-cell
-    WCET budget at the default link rate. *)
+    The checks of {!validate} (field validation, topology admission with
+    the resolved shape, the fault model with crash/restart pairing), then
+    a service-capacity check that flags offered load at or beyond the
+    servers' aggregate service rate (where the queue — and the tail —
+    grows without bound), and {!Preflight.line_rate} at the default link
+    rate. Builds no cluster. *)
 val preflight : profile -> (string * (string, string) result) list
 
 (** Offered load of the whole profile, requests per second of simulated

@@ -303,13 +303,16 @@ let allreduce t ~op v =
 (* Installation                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let install ?(channel = default_channel) ?(fanout = 2) ?(code_bytes = 2048)
+let code_bytes = 2048
+let max_nodes = 256
+
+let install ?(channel = default_channel) ?(fanout = 2) ?(code_bytes = code_bytes)
     ?(bytes_of = fun _ -> 64) ?live ~inject ~project cluster =
   let live =
     match live with Some f -> f | None -> fun r -> Cluster.node_alive cluster r
   in
   let n = Cluster.size cluster in
-  if n > 256 then
+  if n > max_nodes then
     invalid_arg "Collectives.install: at most 256 nodes (the root rides in the header)";
   if fanout < 1 then invalid_arg "Collectives.install: fanout must be >= 1";
   let registry = Cluster.metrics cluster in

@@ -31,11 +31,19 @@ type ('v, 'a) t
 (** The wire channel claimed by default (Mp uses 2, the DSM protocol 1). *)
 val default_channel : int
 
+(** Board memory one board's combining-tree handler claims by default:
+    object code plus tree state (2048 bytes). *)
+val code_bytes : int
+
+(** The largest cluster a combining tree spans (256: the root rides in
+    one header byte). *)
+val max_nodes : int
+
 (** [install ~inject ~project cluster] builds one endpoint per node and
     installs one handler (pattern = the channel) per board, charging
-    [code_bytes] (default 2048: object code + tree state) of board memory
-    each. [fanout] (default 2) is the combining-tree arity; [bytes_of]
-    (default [fun _ -> 64]) sizes a value on the wire.
+    [code_bytes] (default {!code_bytes}) of board memory each. [fanout]
+    (default 2) is the combining-tree arity; [bytes_of] (default
+    [fun _ -> 64]) sizes a value on the wire.
 
     [live] (default: the cluster's [Cluster.node_alive]) is the routing
     oracle for the combining tree: a rank it reports dead is bypassed — its

@@ -46,6 +46,7 @@ let deliver t e =
   | None -> t.mailbox <- e :: t.mailbox
 
 let collectives_channel = 3
+let code_bytes = 512
 
 let install ?(nic_collectives = false) ?fanout cluster =
   let n = Cluster.size cluster in
@@ -80,7 +81,7 @@ let install ?(nic_collectives = false) ?fanout cluster =
       ignore
         (Nic.install_handler (Node.nic t.node)
            ~pattern:(Wire.pattern_channel ~channel)
-           ~code_bytes:512
+           ~code_bytes
            (fun ctx pkt ->
              ctx.Cni_nic.Nic.charge 30;
              let hdr = Wire.decode pkt.Cni_atm.Fabric.header in

@@ -32,6 +32,9 @@ val reserved_tag_base : int
 (** The wire channel the NIC-resident collectives claim (see {!install}). *)
 val collectives_channel : int
 
+(** Board memory the message-passing handler claims on every board. *)
+val code_bytes : int
+
 (** [install cluster] creates one endpoint per node and programs every
     board's classifier. Call once, before [run_app].
 

@@ -277,13 +277,15 @@ let test_summary () =
   check (Alcotest.float 1e-9) "mean" 5.0 (Stats.Summary.mean s)
 
 let test_histogram () =
-  let h = Stats.Histogram.create "h" in
+  (* fixed cases: zeros, exact small values and a repeated large sample *)
+  let h = Stats.Histogram.create () in
   List.iter (Stats.Histogram.observe h) [ 0; 1; 2; 3; 100; 100 ];
   checki "count" 6 (Stats.Histogram.count h);
   let buckets = Stats.Histogram.buckets h in
   checkb "has buckets" true (List.length buckets >= 3);
-  checki "p100 bucket bound" 128 (Stats.Histogram.percentile h 100.);
-  checki "p1 bucket bound" 1 (Stats.Histogram.percentile h 1.)
+  checki "p100 is the exact max" 100 (Stats.Histogram.quantile h 1.0);
+  checki "p1 is the smallest sample" 0 (Stats.Histogram.quantile h 0.01);
+  checki "p50 exact below 32" 2 (Stats.Histogram.quantile h 0.5)
 
 let test_registry () =
   let r = Stats.Registry.create () in
@@ -295,12 +297,14 @@ let test_registry () =
   checki "shared instance" 6 (Stats.Counter.value c);
   let s = Stats.Registry.summary r ~subsystem:"cluster" "lat" in
   Stats.Summary.observe s 40;
-  checki "size" 2 (Stats.Registry.size r);
+  let h = Stats.Registry.histogram r ~subsystem:"cluster" "rtt" in
+  List.iter (Stats.Histogram.observe h) [ 5; 5; 70 ];
+  checki "size" 3 (Stats.Registry.size r);
   let snap = Stats.Registry.snapshot r in
   check
     (Alcotest.list Alcotest.string)
     "sorted full names"
-    [ "cluster/lat"; "node0/nic/tx_packets" ]
+    [ "cluster/lat"; "cluster/rtt"; "node0/nic/tx_packets" ]
     (List.map fst snap);
   (match List.assoc "node0/nic/tx_packets" snap with
   | Stats.Registry.Counter_v n -> checki "snapshot value" 6 n
@@ -310,6 +314,16 @@ let test_registry () =
   (match List.assoc "node0/nic/tx_packets" (Stats.Registry.diff ~before:snap ~after:(Stats.Registry.snapshot r)) with
   | Stats.Registry.Counter_v n -> checki "diff movement" 4 n
   | _ -> Alcotest.fail "expected a counter value");
+  (* ... and histogram buckets, keeping only the buckets that moved *)
+  Stats.Histogram.observe h 70;
+  let after = Stats.Registry.snapshot r in
+  (match List.assoc "cluster/rtt" (Stats.Registry.diff ~before:snap ~after) with
+  | Stats.Registry.Histogram_v { count; buckets } ->
+      checki "histogram diff count" 1 count;
+      check
+        (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int))
+        "moved bucket" [ (70, 71, 1) ] buckets
+  | _ -> Alcotest.fail "expected a histogram value");
   (* re-registering a name under a different metric type is an error *)
   (match Stats.Registry.summary r ~node:0 ~subsystem:"nic" "tx_packets" with
   | exception Invalid_argument _ -> ()
@@ -323,7 +337,8 @@ let test_registry () =
   checkb "json names the counter" true (contains json "node0/nic/tx_packets");
   Stats.Registry.reset r;
   checki "reset counters" 0 (Stats.Counter.value c);
-  checki "reset summaries" 0 (Stats.Summary.count s)
+  checki "reset summaries" 0 (Stats.Summary.count s);
+  checki "reset histograms" 0 (Stats.Histogram.count h)
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)

@@ -89,6 +89,53 @@ let test_schedule_text_roundtrip () =
   | Ok cfg' -> checkb "none renders to nothing and parses back" true (Faults.is_none cfg')
   | Error e -> Alcotest.fail e
 
+(* Any probability, and any microsecond-aligned window or event, survives
+   the text format exactly: probabilities print at full precision. *)
+let test_schedule_text_qcheck () =
+  let open QCheck.Gen in
+  let us = map Time.us (int_bound 1_000_000) in
+  let window =
+    map3 (fun w_node w_from w_upto -> { Faults.w_node; w_from; w_upto }) (int_bound 63) us us
+  in
+  let fault = oneof [ map (fun scrub -> Faults.Crash { scrub }) bool; return Faults.Restart ] in
+  let event =
+    map3 (fun e_node e_at e_fault -> { Faults.e_node; e_at; e_fault }) (int_bound 63) us fault
+  in
+  let prob =
+    oneof
+      [
+        return 0.;
+        float_bound_inclusive 1.;
+        map (fun k -> 10. ** float_of_int (-k)) (int_range 1 12);
+      ]
+  in
+  let cfg =
+    map
+      (fun ((seed, cell_loss, cell_corrupt), (frame_drop, link_down, schedule)) ->
+        { Faults.seed; cell_loss; cell_corrupt; frame_drop; link_down; schedule })
+      (pair
+         (triple (int_bound 1_000_000) prob prob)
+         (triple prob (list_size (int_bound 4) window) (list_size (int_bound 6) event)))
+  in
+  let prop c =
+    Faults.config_of_string (Faults.config_to_string c) = Ok c
+    && (* the same block embedded in a host grammar under a renamed seed key *)
+    List.fold_left
+      (fun acc line ->
+        match (acc, String.split_on_char ' ' line) with
+        | Some cfg, ([ "" ] | []) -> Some cfg
+        | Some cfg, words -> (
+            match Faults.directive ~seed_key:"fault-seed" cfg words with
+            | Some (Ok cfg) -> Some cfg
+            | _ -> None)
+        | None, _ -> None)
+      (Some Faults.none)
+      (String.split_on_char '\n' (Faults.config_to_string ~seed_key:"fault-seed" c))
+    = Some c
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"fault text round-trip" (QCheck.make cfg) prop)
+
 let test_schedule_parse_errors () =
   (match Faults.config_of_string "seed 7\nfrobnicate 3" with
   | Error e -> checkb "unknown directive names its line" true (contains e "line 2")
@@ -282,6 +329,7 @@ let () =
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "link-down windows" `Quick test_link_down_window;
           Alcotest.test_case "schedule text round-trip" `Quick test_schedule_text_roundtrip;
+          Alcotest.test_case "schedule text qcheck round-trip" `Quick test_schedule_text_qcheck;
           Alcotest.test_case "schedule parse errors" `Quick test_schedule_parse_errors;
           Alcotest.test_case "reversed window rejected" `Quick test_reversed_window_rejected;
           Alcotest.test_case "overlapping windows merge" `Quick test_overlapping_windows_merge;
