@@ -16,6 +16,7 @@ module Water = Cni_apps.Water
 module Cholesky = Cni_apps.Cholesky
 module Sparse = Cni_apps.Sparse
 module Runner = Cni_experiments.Runner
+module Cluster = Cni_cluster.Cluster
 module Microbench = Cni_experiments.Microbench
 module Report = Cni_experiments.Report
 module Topology = Cni_atm.Topology
@@ -313,6 +314,32 @@ let nic_collectives_arg =
           "Run DSM barriers on the boards' combining tree (NIC-resident collectives) \
            instead of the centralised node-0 manager.")
 
+(* the application [run] and [sweep] drive; its checksum lands in [checksum] *)
+let application ~app ~n ~iterations ~molecules ~matrix checksum cluster lrcs =
+  checksum :=
+    match app with
+    | `Jacobi ->
+        (Jacobi.run cluster lrcs { Jacobi.default_config with Jacobi.n; iterations })
+          .Jacobi.checksum
+    | `Water ->
+        (Water.run cluster lrcs { Water.default_config with Water.molecules }).Water.checksum
+    | `Cholesky ->
+        let a =
+          match matrix with
+          | `B14 -> Cholesky.bcsstk14_like ()
+          | `B15 -> Cholesky.bcsstk15_like ()
+          | `Small -> Sparse.stiffness_like ~n:300 ~dofs:3 ~seed:1
+        in
+        (Cholesky.run cluster lrcs (Cholesky.default_config a)).Cholesky.checksum
+
+(* EXIT STATUS of every command that runs a simulation *)
+let run_exits =
+  List.map (fun (code, doc) -> Cmd.Exit.info code ~doc) Runner.exit_table @ Cmd.Exit.defaults
+
+let exit_with outcome detail =
+  Runner.print_outcome stdout outcome detail;
+  exit (Runner.exit_code outcome)
+
 let run_cmd =
   let doc =
     "Run a benchmark application on a simulated cluster. Runs the $(b,doctor) checks first: \
@@ -329,62 +356,48 @@ let run_cmd =
     in
     if List.exists (fun (_, v) -> Result.is_error v) verdicts then begin
       ignore (Preflight.print stderr verdicts : int);
-      exit 2
+      exit Runner.preflight_refused
     end;
     let kind = make_kind ~rx_policy ~rx_batch nic ~mc_kb ~no_aih in
     let barrier_impl = if nic_collectives then `Nic_collective else `Centralised in
     setup_trace trace;
     let checksum = ref nan in
-    let application cluster lrcs =
-      match app with
-      | `Jacobi ->
-          checksum :=
-            (Jacobi.run cluster lrcs { Jacobi.default_config with Jacobi.n; iterations })
-              .Jacobi.checksum
-      | `Water ->
-          checksum :=
-            (Water.run cluster lrcs { Water.default_config with Water.molecules })
-              .Water.checksum
-      | `Cholesky ->
-          let a =
-            match matrix with
-            | `B14 -> Cholesky.bcsstk14_like ()
-            | `B15 -> Cholesky.bcsstk15_like ()
-            | `Small -> Sparse.stiffness_like ~n:300 ~dofs:3 ~seed:1
-          in
-          checksum := (Cholesky.run cluster lrcs (Cholesky.default_config a)).Cholesky.checksum
+    let r =
+      Runner.run ~params ~faults ~topology ~barrier_impl ~kind ~procs
+        (application ~app ~n ~iterations ~molecules ~matrix checksum)
     in
-    let r = Runner.run ~params ~faults ~topology ~barrier_impl ~kind ~procs application in
+    let t = r.Runner.totals in
     finish_trace ~spec:trace ~out:trace_out;
     write_metrics ~out:metrics_out r.Runner.metrics;
+    Runner.print_outcome stdout r.Runner.outcome r.Runner.detail;
     Printf.printf "elapsed            %s  (%.3f x 10^9 CPU cycles)\n"
       (Format.asprintf "%a" Time.pp r.Runner.elapsed)
       (r.Runner.elapsed_cycles /. 1e9);
     Printf.printf "computation        %s\n" (Format.asprintf "%a" Time.pp r.Runner.computation);
     Printf.printf "synch overhead     %s\n" (Format.asprintf "%a" Time.pp r.Runner.synch_overhead);
     Printf.printf "synch delay        %s\n" (Format.asprintf "%a" Time.pp r.Runner.synch_delay);
-    Printf.printf "network packets    %d (%d wire bytes)\n" r.Runner.packets r.Runner.wire_bytes;
+    Printf.printf "network packets    %d (%d wire bytes)\n" t.Cluster.packets t.Cluster.wire_bytes;
     if topology <> Topology.Single then begin
       Printf.printf "topology           %s\n" (Topology.kind_to_string topology);
       Printf.printf "fabric contention  hop-waits=%d banyan-conflicts=%d delivered=%d/%d\n"
-        r.Runner.hop_waits r.Runner.banyan_conflicts r.Runner.delivered_packets
-        r.Runner.offered_packets
+        t.Cluster.hop_waits t.Cluster.banyan_conflicts t.Cluster.delivered_packets
+        t.Cluster.offered_packets
     end;
     Printf.printf "cache hit ratio    %.1f%%\n" r.Runner.hit_ratio;
-    Printf.printf "host interrupts    %d\n" r.Runner.host_interrupts;
-    Printf.printf "host polls         %d (%d wasted)\n" r.Runner.polls r.Runner.wasted_polls;
+    Printf.printf "host interrupts    %d\n" t.Cluster.host_interrupts;
+    Printf.printf "host polls         %d (%d wasted)\n" t.Cluster.polls t.Cluster.wasted_polls;
     Printf.printf "checksum           %.17g\n" !checksum;
     if not (Faults.is_none faults) then
       Printf.printf "faults             %d frames destroyed, %d retransmits\n"
-        r.Runner.fault_drops r.Runner.retransmits;
+        t.Cluster.fault_drops t.Cluster.retransmits;
     if r.Runner.message_mix <> [] then begin
       Printf.printf "protocol traffic  ";
       List.iter (fun (k, n) -> Printf.printf " %s=%d" k n) r.Runner.message_mix;
       print_newline ()
-    end
+    end;
+    exit (Runner.exit_code r.Runner.outcome)
   in
-  let exits = Cmd.Exit.info 2 ~doc:"a preflight check failed; nothing ran." :: Cmd.Exit.defaults in
-  Cmd.v (Cmd.info "run" ~doc ~exits)
+  Cmd.v (Cmd.info "run" ~doc ~exits:run_exits)
     Term.(
       const run $ app_arg $ nic_kind $ procs $ topology_arg $ page_bytes $ mc_kb $ no_aih
       $ rx_policy_arg $ rx_batch_arg $ unrestricted $ n $ iterations $ molecules $ matrix
@@ -399,19 +412,10 @@ let sweep_cmd =
   let doc = "Sweep processor counts for one application, both interfaces." in
   let run app page mc_kb no_aih cells n iterations molecules matrix =
     let params = make_params ~page ~cells in
-    let application cluster lrcs =
-      match app with
-      | `Jacobi ->
-          ignore (Jacobi.run cluster lrcs { Jacobi.default_config with Jacobi.n; iterations })
-      | `Water -> ignore (Water.run cluster lrcs { Water.default_config with Water.molecules })
-      | `Cholesky ->
-          let a =
-            match matrix with
-            | `B14 -> Cholesky.bcsstk14_like ()
-            | `B15 -> Cholesky.bcsstk15_like ()
-            | `Small -> Sparse.stiffness_like ~n:300 ~dofs:3 ~seed:1
-          in
-          ignore (Cholesky.run cluster lrcs (Cholesky.default_config a))
+    let application = application ~app ~n ~iterations ~molecules ~matrix (ref nan) in
+    let completed r =
+      if r.Runner.outcome <> Runner.Ok then exit_with r.Runner.outcome r.Runner.detail;
+      r
     in
     Printf.printf "%5s  %12s  %12s  %8s  %8s  %6s\n" "procs" "cni" "standard" "sp-cni"
       "sp-std" "hit-%";
@@ -419,8 +423,8 @@ let sweep_cmd =
     List.iter
       (fun procs ->
         let kc = make_kind Scenario.Cni ~mc_kb ~no_aih in
-        let rc = Runner.run ~params ~kind:kc ~procs application in
-        let rs = Runner.run ~params ~kind:Runner.standard ~procs application in
+        let rc = completed (Runner.run ~params ~kind:kc ~procs application) in
+        let rs = completed (Runner.run ~params ~kind:Runner.standard ~procs application) in
         let tc = Time.to_s_float rc.Runner.elapsed and ts = Time.to_s_float rs.Runner.elapsed in
         if procs = 1 then begin
           t1c := tc;
@@ -432,7 +436,7 @@ let sweep_cmd =
           (!t1c /. tc) (!t1s /. ts) rc.Runner.hit_ratio)
       [ 1; 2; 4; 8; 16; 32 ]
   in
-  Cmd.v (Cmd.info "sweep" ~doc)
+  Cmd.v (Cmd.info "sweep" ~doc ~exits:run_exits)
     Term.(
       const run $ app_arg $ page_bytes $ mc_kb $ no_aih $ unrestricted $ n $ iterations
       $ molecules $ matrix)
@@ -629,11 +633,16 @@ let chaos_cmd =
     let kind = make_kind nic ~mc_kb ~no_aih in
     let down = Time.us down_us in
     let m =
-      match app with
-      | `Dsm -> Chaos.run_dsm ~seed ~procs ~scrub ~kind ~crashes ~down ()
-      | `Ring -> Chaos.run_ring ~seed ~nodes:procs ~scrub ~kind ~crashes ~down ()
+      try
+        match app with
+        | `Dsm -> Chaos.run_dsm ~seed ~procs ~scrub ~kind ~crashes ~down ()
+        | `Ring -> Chaos.run_ring ~seed ~nodes:procs ~scrub ~kind ~crashes ~down ()
+      with Invalid_argument problem ->
+        (* raised before anything runs (see Chaos.run_dsm) *)
+        ignore (Preflight.print stderr [ ("chaos configuration", Error problem) ] : int);
+        exit Runner.preflight_refused
     in
-    Printf.printf "outcome            %s\n" m.Chaos.outcome;
+    Runner.print_outcome stdout m.Chaos.outcome m.Chaos.detail;
     Printf.printf "elapsed            %.1f us\n" m.Chaos.elapsed_us;
     Printf.printf "crashes/restarts   %d/%d\n" m.Chaos.crashes m.Chaos.restarts;
     Printf.printf "retransmits        %d\n" m.Chaos.retransmits;
@@ -642,9 +651,9 @@ let chaos_cmd =
       m.Chaos.recoveries m.Chaos.mean_recovery_us;
     Printf.printf "rx timeouts        %d\n" m.Chaos.rx_timeouts;
     Printf.printf "checksum           %.17g\n" m.Chaos.checksum;
-    if not m.Chaos.completed then exit 2
+    exit (Runner.exit_code m.Chaos.outcome)
   in
-  Cmd.v (Cmd.info "chaos" ~doc)
+  Cmd.v (Cmd.info "chaos" ~doc ~exits:run_exits)
     Term.(
       const run $ chaos_app_arg $ nic_kind $ procs $ seed_arg $ crashes_arg $ down_arg
       $ scrub_arg $ mc_kb $ no_aih)
@@ -721,10 +730,18 @@ let scenario_cmd =
     let doc = "Preflight, then run a profile and report its latency tail." in
     let run name file =
       let p = load name file in
-      if Preflight.print ~quiet:true stdout (Scenario.preflight p) > 0 then
-        fail "preflight failed; not running";
-      let r = Scenario.run p in
+      if Preflight.print ~quiet:true stdout (Scenario.preflight p) > 0 then begin
+        prerr_endline "cni_sim scenario: preflight failed; not running";
+        exit Runner.preflight_refused
+      end;
       Printf.printf "profile            %s\n" p.Scenario.name;
+      let r =
+        try Scenario.run p
+        with e -> (
+          match Runner.classify e with
+          | Some (outcome, message) -> exit_with outcome [ message ]
+          | None -> raise e)
+      in
       Printf.printf "requests           %d issued, %d answered (gets %d, puts %d)\n"
         r.Kv.requests r.Kv.responses r.Kv.gets r.Kv.puts;
       Printf.printf "elapsed            %.1f us (%.0f req/s served)\n" r.Kv.elapsed_us
@@ -740,7 +757,7 @@ let scenario_cmd =
       Printf.printf "host interrupts    %d\n" r.Kv.host_interrupts;
       Printf.printf "host polls         %d (%d wasted)\n" r.Kv.polls r.Kv.wasted_polls
     in
-    Cmd.v (Cmd.info "run" ~doc) Term.(const run $ name_arg $ file_arg)
+    Cmd.v (Cmd.info "run" ~doc ~exits:run_exits) Term.(const run $ name_arg $ file_arg)
   in
   let doc = "Named serving scenarios: list, describe, preflight and run profiles." in
   Cmd.group (Cmd.info "scenario" ~doc) [ list_cmd; describe_cmd; doctor_cmd; run_cmd ]

@@ -7,8 +7,6 @@
 module Time = Cni_engine.Time
 module Rng = Cni_engine.Rng
 module Engine = Cni_engine.Engine
-module Fabric = Cni_atm.Fabric
-module Nic = Cni_nic.Nic
 module Cluster = Cni_cluster.Cluster
 module Node = Cni_cluster.Node
 module Mp = Cni_mp.Mp
@@ -138,14 +136,7 @@ let run ?params ?faults ?reliability ?topology ?(watchdog = Time.s 2) ~nic_kind 
         done
       end);
   let elapsed = Cluster.elapsed cluster in
-  let f = Fabric.stats (Cluster.fabric cluster) in
-  let sum_nic field =
-    let acc = ref 0 in
-    for n = 0 to nodes - 1 do
-      acc := !acc + field (Nic.stats (Node.nic (Cluster.node cluster n)))
-    done;
-    !acc
-  in
+  let tot = Cluster.totals cluster in
   let q p = float_of_int (Hist.quantile hist p) /. 1e3 in
   {
     requests = c.clients * c.requests_per_client;
@@ -161,17 +152,11 @@ let run ?params ?faults ?reliability ?topology ?(watchdog = Time.s 2) ~nic_kind 
     p99_us = q 0.99;
     p999_us = q 0.999;
     max_us = float_of_int (Hist.max_value hist) /. 1e3;
-    retransmits = Cluster.retransmits cluster;
-    fault_drops =
-      (let fab = Cluster.fabric cluster in
-       let acc = ref 0 in
-       for n = 0 to nodes - 1 do
-         acc := !acc + Fabric.fault_drops fab ~node:n
-       done;
-       !acc);
-    hop_waits = f.Fabric.hop_waits;
-    host_interrupts = sum_nic (fun s -> s.Nic.interrupts);
-    polls = sum_nic (fun s -> s.Nic.polls);
-    wasted_polls = sum_nic (fun s -> s.Nic.wasted_polls);
+    retransmits = tot.Cluster.retransmits;
+    fault_drops = tot.Cluster.fault_drops;
+    hop_waits = tot.Cluster.hop_waits;
+    host_interrupts = tot.Cluster.host_interrupts;
+    polls = tot.Cluster.polls;
+    wasted_polls = tot.Cluster.wasted_polls;
     hist;
   }

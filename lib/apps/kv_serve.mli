@@ -49,8 +49,7 @@ val validate : config -> (unit, string list) Stdlib.result
 
 (** Everything a serving run reports. Latency figures are microseconds of
     simulated time, measured from scheduled generation to response receipt;
-    counter fields are summed over all nodes, mirroring
-    {!Cni_experiments.Runner.result}. *)
+    counter fields come from {!Cni_cluster.Cluster.totals}. *)
 type result = {
   requests : int;  (** requests issued ([clients * requests_per_client]) *)
   responses : int;  (** responses received (equal to [requests] on a drained run) *)

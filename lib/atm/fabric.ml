@@ -46,7 +46,7 @@ type 'a t = {
   mutable ingress_free : Time.t array;
   receivers : ('a packet -> unit) array;
   registry : Stats.Registry.t option;
-  mutable faults : Faults.t option;
+  faults : Faults.t option;
   (* crashed nodes: frames to or from a down node are discarded, counted
      apart from the link-layer fault classes *)
   down : bool array;
@@ -170,7 +170,6 @@ let nodes t = t.n
 let params t = t.p
 let topology t = t.topo
 let set_receiver t ~node f = t.receivers.(node) <- f
-let set_faults t cfg = t.faults <- (if Faults.is_none cfg then None else Some (Faults.create cfg))
 let faults t = Option.map Faults.config t.faults
 let undeliverable t ~node = counter_value t ~node "undeliverable"
 
@@ -258,9 +257,10 @@ let traverse t ~now ~ser pkt =
       let start = Time.max earliest (Time.max out_gate !wire_gate) in
       if start > earliest then begin
         t.s_hop_waits <- t.s_hop_waits + 1;
-        emit t ~node:pkt.src
-          ~label:(Printf.sprintf "hop-wait sw=%d out=%d" h_switch h_out)
-          ~payload:(Time.to_ps Time.(start - earliest))
+        if Trace.enabled_cat Trace.Atm then
+          emit t ~node:pkt.src
+            ~label:(Printf.sprintf "hop-wait sw=%d out=%d" h_switch h_out)
+            ~payload:(Time.to_ps Time.(start - earliest))
       end;
       if !internal_gate > earliest then
         t.s_banyan_conflicts <- t.s_banyan_conflicts + 1;

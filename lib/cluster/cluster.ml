@@ -15,7 +15,7 @@ type 'a t = {
   nodes : 'a Node.t array;
   kind : nic_kind;
   registry : Stats.Registry.t;
-  mutable ran : bool;
+  mutable stopped : bool;  (* the last [run_app] raised *)
 }
 
 (* Crash a node: freeze its application fiber, kill the board (scrubbing
@@ -37,13 +37,6 @@ let restart_node t i =
   Node.unfreeze n
 
 let node_alive t i = not (Fabric.node_down t.fabric ~node:i)
-
-let crashed_nodes t =
-  let acc = ref [] in
-  for i = Array.length t.nodes - 1 downto 0 do
-    if Fabric.node_down t.fabric ~node:i then acc := i :: !acc
-  done;
-  !acc
 
 let create ?(params = Params.default) ?faults ?reliability ?(reliability_off = false) ?topology
     ~nic_kind ~nodes () =
@@ -79,7 +72,7 @@ let create ?(params = Params.default) ?faults ?reliability ?(reliability_off = f
     Array.init nodes (fun id ->
         Node.create ~registry ?reliability eng params fabric ~id ~nic_kind)
   in
-  let t = { eng; p = params; fabric; nodes = node_arr; kind = nic_kind; registry; ran = false } in
+  let t = { eng; p = params; fabric; nodes = node_arr; kind = nic_kind; registry; stopped = false } in
   (* drive the node-fault schedule off engine time *)
   Option.iter
     (fun f ->
@@ -102,14 +95,6 @@ let node t i = t.nodes.(i)
 let nodes t = t.nodes
 let is_cni t = match t.kind with `Cni _ -> true | `Osiris _ | `Standard -> false
 
-let retransmits t =
-  Array.fold_left
-    (fun acc n ->
-      match Nic.rel_stats (Node.nic n) with
-      | Some rs -> acc + rs.Nic.retransmits
-      | None -> acc)
-    0 t.nodes
-
 exception Deadlock of { unfinished : int list; crashed : int list }
 
 let () =
@@ -125,6 +110,7 @@ let () =
     | _ -> None)
 
 let run_app ?watchdog t f =
+  t.stopped <- true;
   Array.iter
     (fun n ->
       Engine.spawn t.eng ~name:(Printf.sprintf "app-%d" (Node.id n)) (fun () ->
@@ -137,7 +123,6 @@ let run_app ?watchdog t f =
   (match watchdog with
   | None -> Engine.run t.eng
   | Some limit -> Engine.run_watched t.eng ~limit);
-  t.ran <- true;
   let stuck =
     Array.fold_left
       (fun acc n -> if Node.finished n then acc else Node.id n :: acc)
@@ -148,13 +133,16 @@ let run_app ?watchdog t f =
       List.partition (fun i -> Fabric.node_down t.fabric ~node:i) (List.rev stuck)
     in
     (* nodes that crashed and never restarted are expected casualties: the
-       run completes and {!crashed_nodes} reports them. Anything else still
-       unfinished with the event queue drained is a real deadlock. *)
+       run completes. Anything else still unfinished with the event queue
+       drained is a real deadlock. *)
     if hung <> [] then raise (Deadlock { unfinished = hung; crashed })
-  end
+  end;
+  t.stopped <- false
 
 let elapsed t =
-  Array.fold_left (fun acc n -> Time.max acc (Node.report n).Node.finish_time) Time.zero t.nodes
+  if t.stopped then Engine.now t.eng
+  else
+    Array.fold_left (fun acc n -> Time.max acc (Node.report n).Node.finish_time) Time.zero t.nodes
 
 (* Average over nodes whose Message Cache actually saw lookups: a node that
    never transmitted bulk data has no meaningful ratio, and counting it
@@ -170,6 +158,47 @@ let network_cache_hit_ratio t =
       | None -> ())
     t.nodes;
   if !active = 0 then 0. else !sum /. float_of_int !active
+
+type totals = {
+  packets : int;
+  offered_packets : int;
+  delivered_packets : int;
+  wire_bytes : int;
+  hop_waits : int;
+  banyan_conflicts : int;
+  retransmits : int;
+  fault_drops : int;
+  crash_drops : int;
+  host_interrupts : int;
+  polls : int;
+  wasted_polls : int;
+  recovery_latencies : Time.t list;
+}
+
+let totals t =
+  let f = Fabric.stats t.fabric in
+  let sum g = Array.fold_left (fun acc n -> acc + g n) 0 t.nodes in
+  let nic g = sum (fun n -> g (Nic.stats (Node.nic n))) in
+  {
+    packets = f.Fabric.packets;
+    offered_packets = f.Fabric.offered_packets;
+    delivered_packets = f.Fabric.delivered_packets;
+    wire_bytes = f.Fabric.wire_bytes;
+    hop_waits = f.Fabric.hop_waits;
+    banyan_conflicts = f.Fabric.banyan_conflicts;
+    retransmits =
+      sum (fun n ->
+          match Nic.rel_stats (Node.nic n) with Some rs -> rs.Nic.retransmits | None -> 0);
+    fault_drops = sum (fun n -> Fabric.fault_drops t.fabric ~node:(Node.id n));
+    crash_drops = sum (fun n -> Fabric.crash_drops t.fabric ~node:(Node.id n));
+    host_interrupts = nic (fun s -> s.Nic.interrupts);
+    polls = nic (fun s -> s.Nic.polls);
+    wasted_polls = nic (fun s -> s.Nic.wasted_polls);
+    recovery_latencies =
+      Array.fold_left
+        (fun acc n -> List.rev_append (Nic.recovery_latencies (Node.nic n)) acc)
+        [] t.nodes;
+  }
 
 type overheads = {
   computation : Time.t;

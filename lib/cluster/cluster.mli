@@ -19,8 +19,10 @@ type 'a t
     firmware-compiled {!Cni_nic.Reliable_ir} endpoints, notably — and
     accept raw loss everywhere else. A non-empty [faults.schedule] is
     validated against the node
-    count and wired onto engine timers: each event calls {!crash_node} /
-    {!restart_node} at its time.
+    count and wired onto engine timers: a crash freezes the node's
+    application fiber, kills its board (a scrub wipes board memory) and
+    severs its link; a restart revives the board under a new delivery
+    epoch, reattaches the link and thaws the fiber.
 
     [topology] selects the fabric's interconnect shape (default
     {!Cni_atm.Topology.Single}, the seed central switch).
@@ -39,9 +41,6 @@ val create :
   unit ->
   'a t
 
-(** Sum of NIC retransmissions over all nodes (0 when reliability is off). *)
-val retransmits : 'a t -> int
-
 val engine : 'a t -> Cni_engine.Engine.t
 val params : 'a t -> Cni_machine.Params.t
 val fabric : 'a t -> 'a Cni_atm.Fabric.t
@@ -54,7 +53,7 @@ val is_cni : 'a t -> bool
     {e non-crashed} node's application fiber never finished — a protocol
     deadlock. [crashed] lists nodes that crashed without restarting (those
     alone do {e not} raise: they are expected casualties of the fault
-    schedule, reported by {!crashed_nodes}). A printer is registered. *)
+    schedule). A printer is registered. *)
 exception Deadlock of { unfinished : int list; crashed : int list }
 
 (** [run_app t f] spawns one application fiber per node running [f node],
@@ -65,28 +64,11 @@ exception Deadlock of { unfinished : int list; crashed : int list }
     @raise Deadlock when a live node's fiber never finished. *)
 val run_app : ?watchdog:Cni_engine.Time.t -> 'a t -> ('a Node.t -> unit) -> unit
 
-(** {2 Node faults}
-
-    Normally driven by the fault schedule given to {!create}; exposed for
-    tests and custom harnesses. *)
-
-(** Freeze the node's application fiber, crash its board ([scrub] wipes
-    board memory — default [false]) and sever it from the fabric. No-op on
-    an already-crashed node's board. *)
-val crash_node : ?scrub:bool -> 'a t -> int -> unit
-
-(** Revive the board under a new delivery epoch (replaying scrubbed
-    installations), reattach the fabric link and thaw the application
-    fiber. *)
-val restart_node : 'a t -> int -> unit
-
-(** [false] between {!crash_node} and {!restart_node}. *)
+(** [false] between a node's scheduled crash and its restart. *)
 val node_alive : 'a t -> int -> bool
 
-(** Currently-crashed nodes, ascending. *)
-val crashed_nodes : 'a t -> int list
-
-(** Wall-clock of the slowest application fiber (valid after {!run_app}). *)
+(** Wall-clock of the slowest application fiber (valid after {!run_app});
+    when {!run_app} raised, the simulated time the run stopped at. *)
 val elapsed : 'a t -> Cni_engine.Time.t
 
 (** Mean network cache hit ratio over nodes whose Message Cache saw lookups
@@ -103,6 +85,27 @@ val metrics : 'a t -> Cni_engine.Stats.Registry.t
     service_ps,finish_ps}] and [cluster/elapsed_ps]) and return a snapshot of
     the whole registry. Valid after {!run_app}; idempotent. *)
 val metrics_snapshot : 'a t -> Cni_engine.Stats.Registry.snapshot
+
+(** Every fabric and NIC counter a run reports, summed over nodes; valid
+    once {!run_app} returns or raises. *)
+type totals = {
+  packets : int;  (** frames that got onto the wire *)
+  offered_packets : int;  (** every send, including frames a dead source never sent *)
+  delivered_packets : int;  (** frames that reached their destination node *)
+  wire_bytes : int;
+  hop_waits : int;  (** hops where port or wire contention delayed a frame *)
+  banyan_conflicts : int;  (** internal switch wire overlaps *)
+  retransmits : int;  (** NIC-level re-sends (0 with reliability off) *)
+  fault_drops : int;  (** frames the injected fault model destroyed *)
+  crash_drops : int;  (** frames the fabric dropped at a dead board *)
+  host_interrupts : int;  (** zero on a CNI board when everything runs as AIHs *)
+  polls : int;  (** receive wakeups taken by a host poll *)
+  wasted_polls : int;  (** empty receive-ring checks in poll mode *)
+  recovery_latencies : Cni_engine.Time.t list;
+      (** restart-to-first-frame latency of each revived board, unordered *)
+}
+
+val totals : 'a t -> totals
 
 (** Per-category totals summed over nodes (paper Tables 2-4 report sums over
     the run; we report the same). *)

@@ -251,12 +251,6 @@ let take_wait tbl key =
 (* Dirty masks and diff sizes                                          *)
 (* ------------------------------------------------------------------ *)
 
-let popcount_byte =
-  lazy
-    (Array.init 256 (fun b ->
-         let rec go n b = if b = 0 then n else go (n + (b land 1)) (b lsr 1) in
-         go 0 b))
-
 (* diff wire size: the changed words plus an 8-byte (offset,len) header per
    contiguous run, mirroring Diff.wire_bytes *)
 let diff_bytes_of_mask mask dirty_words =
@@ -269,8 +263,6 @@ let diff_bytes_of_mask mask dirty_words =
     prev := set
   done;
   (dirty_words * 8) + (!runs * 8)
-
-let _ = popcount_byte
 
 (* ------------------------------------------------------------------ *)
 (* Interval closing (a release point)                                  *)
@@ -530,13 +522,6 @@ let handle_lock_acquire t ex ~lock ~requester ~req_vc =
   end
   else ex.send ~dst:prev (Protocol.Lock_forward { lock; requester; vc = req_vc }) Nic.No_data
 
-let debug_lock = ref (-1)
-
-let dbg t lock fmt =
-  if lock = !debug_lock then
-    Printf.eprintf ("LOCKDBG n%d " ^^ fmt ^^ "\n") t.me
-  else Printf.ifprintf stderr fmt
-
 let acquire t ~lock =
   let st = get_lock t lock in
   if st.holding then invalid_arg "Lrc.acquire: lock already held";
@@ -545,7 +530,6 @@ let acquire t ~lock =
        locally with no traffic. Claim the lock BEFORE charging the cost: the
        charge advances simulated time, and a forward arriving in that window
        must see the lock as held and queue behind us. *)
-    dbg t lock "acquire-local";
     st.holding <- true;
     t.locks_held <- t.locks_held + 1;
     Stats.Counter.incr t.s_local_acquires;
@@ -564,9 +548,7 @@ let acquire t ~lock =
       ex.send ~dst:manager
         (Protocol.Lock_acquire { lock; requester = t.me; vc = Vclock.copy t.vc })
         Nic.No_data;
-    dbg t lock "acquire-remote-sent";
     ex.wait iv;
-    dbg t lock "acquire-remote-granted";
     (* am_last was set by the grant handler (and possibly cleared again by a
        forward that overtook our wakeup) — do not overwrite it here *)
     st.holding <- true;
@@ -577,7 +559,6 @@ let acquire t ~lock =
 let release t ~lock =
   let st = get_lock t lock in
   if not st.holding then invalid_arg "Lrc.release: lock not held";
-  dbg t lock "release (pending=%b)" (st.pending_forward <> None);
   close_interval t;
   Node.overhead_cycles t.node t.costs.release;
   st.holding <- false;
@@ -593,7 +574,6 @@ let handle_lock_forward t ex ~lock ~requester ~req_vc =
   ex.charge t.costs.server_lock;
   let st = get_lock t lock in
   st.am_last <- false;
-  dbg t lock "forward for n%d (defer=%b holding=%b)" requester (must_defer_grant t lock) st.holding;
   if must_defer_grant t lock then st.pending_forward <- Some (requester, req_vc)
   else send_grant t ex ~lock ~requester ~req_vc
 
@@ -974,7 +954,7 @@ let stats t =
     evictions = Stats.Counter.value t.s_evictions;
   }
 
-(* Debug: a one-line summary of outstanding waits (deadlock triage). *)
+(* Outstanding waits: a deadlock or watchdog outcome's detail per node. *)
 let debug_waits t =
   let keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
   let locks = keys t.lock_waits and pages = keys t.page_waits in

@@ -140,11 +140,9 @@ type stats = {
 
 val stats : t -> stats
 
-(** One-line summary of outstanding waits and held locks (deadlock triage). *)
+(** One-line summary of outstanding waits and held locks: the detail of a
+    deadlock or watchdog outcome for each unfinished node. *)
 val debug_waits : t -> string
-
-(** Debug: trace protocol events of one lock id to stderr (-1 = off). *)
-val debug_lock : int ref
 
 (** Protocol messages this node has received, by kind (non-zero only) — the
     traffic mix behind the timing results. *)

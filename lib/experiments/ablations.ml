@@ -1,4 +1,5 @@
 module Time = Cni_engine.Time
+module Cluster = Cni_cluster.Cluster
 module Nic = Cni_nic.Nic
 module Cholesky = Cni_apps.Cholesky
 module Water = Cni_apps.Water
@@ -124,9 +125,9 @@ let rx_policy () =
             [
               aname;
               pname;
-              string_of_int r.Runner.host_interrupts;
-              string_of_int r.Runner.polls;
-              string_of_int r.Runner.wasted_polls;
+              string_of_int r.Runner.totals.Cluster.host_interrupts;
+              string_of_int r.Runner.totals.Cluster.polls;
+              string_of_int r.Runner.totals.Cluster.wasted_polls;
               "-";
               Format.asprintf "%a" Time.pp r.Runner.elapsed;
               Printf.sprintf "%.10g" !ck;
@@ -342,8 +343,9 @@ let faults () =
                 let faults =
                   if loss > 0. then Some { Faults.none with Faults.cell_loss = loss } else None
                 in
-                match Runner.run ?faults ~reliability:Reliable.default ~kind ~procs:8 app with
-                | r ->
+                let r = Runner.run ?faults ~reliability:Reliable.default ~kind ~procs:8 app in
+                match r.Runner.outcome with
+                | Runner.Ok ->
                     if loss = 0. then base := Some r.Runner.elapsed;
                     let slowdown =
                       match !base with
@@ -357,11 +359,10 @@ let faults () =
                       fmt_loss loss;
                       "ok";
                       Format.asprintf "%a" Time.pp r.Runner.elapsed;
-                      string_of_int r.Runner.retransmits;
+                      string_of_int r.Runner.totals.Cluster.retransmits;
                       slowdown;
                     ]
-                | exception Cni_engine.Engine.Fiber_failure (_, Reliable.Delivery_failed _) ->
-                    [ aname; kname; fmt_loss loss; "failed"; "-"; "-"; "-" ])
+                | o -> [ aname; kname; fmt_loss loss; Runner.outcome_name o; "-"; "-"; "-" ])
               losses)
           [ ("cni", Runner.cni ()); ("standard", Runner.standard) ])
       [
@@ -394,7 +395,7 @@ let chaos () =
     [
       name;
       string_of_int m.Chaos.crashes;
-      m.Chaos.outcome;
+      Runner.outcome_name m.Chaos.outcome;
       Report.f1 m.Chaos.elapsed_us;
       string_of_int m.Chaos.retransmits;
       string_of_int m.Chaos.crash_drops;
@@ -485,7 +486,7 @@ let collectives () =
               "-";
               "-";
               Format.asprintf "%a" Time.pp r.Runner.elapsed;
-              string_of_int r.Runner.host_interrupts;
+              string_of_int r.Runner.totals.Cluster.host_interrupts;
             ])
           [ ("CNI, centralised barrier", `Centralised); ("CNI, NIC-tree barrier", `Nic_collective) ])
       [
@@ -560,8 +561,8 @@ let topology () =
           "-";
           "-";
           Format.asprintf "%a" Time.pp r.Runner.elapsed;
-          string_of_int r.Runner.hop_waits;
-          string_of_int r.Runner.banyan_conflicts;
+          string_of_int r.Runner.totals.Cluster.hop_waits;
+          string_of_int r.Runner.totals.Cluster.banyan_conflicts;
           Printf.sprintf "%.10g" ck;
         ])
       app_runs
@@ -573,6 +574,7 @@ let topology () =
   let metrics =
     List.concat_map
       (fun (_, topology, r, ck) ->
+        let t = r.Runner.totals in
         let slug =
           match topology with
           | Cni_atm.Topology.Single -> "single"
@@ -581,8 +583,8 @@ let topology () =
         in
         [
           ("jacobi256-" ^ slug ^ "-checksum", ck);
-          ("jacobi256-" ^ slug ^ "-hop-waits", float_of_int r.Runner.hop_waits);
-          ("jacobi256-" ^ slug ^ "-conflicts", float_of_int r.Runner.banyan_conflicts);
+          ("jacobi256-" ^ slug ^ "-hop-waits", float_of_int t.Cluster.hop_waits);
+          ("jacobi256-" ^ slug ^ "-conflicts", float_of_int t.Cluster.banyan_conflicts);
         ])
       app_runs
   in

@@ -5,21 +5,15 @@
 
 module Time = Cni_engine.Time
 module Rng = Cni_engine.Rng
-module Engine = Cni_engine.Engine
 module Faults = Cni_atm.Faults
-module Fabric = Cni_atm.Fabric
-module Reliable = Cni_nic.Reliable
-module Nic = Cni_nic.Nic
 module Cluster = Cni_cluster.Cluster
 module Node = Cni_cluster.Node
 module Mp = Cni_mp.Mp
-module Space = Cni_dsm.Space
-module Lrc = Cni_dsm.Lrc
 module Jacobi = Cni_apps.Jacobi
 
 type metrics = {
-  outcome : string;
-  completed : bool;
+  outcome : Runner.outcome;
+  detail : string list;
   elapsed_us : float;
   crashes : int;
   restarts : int;
@@ -36,6 +30,7 @@ type metrics = {
    in-slot jitter drawn from the seed. Node 0 is spared — it is the DSM
    manager and every harness's root/validator. *)
 let schedule ~seed ~nodes ~crashes ~start ~slot ~down ~scrub =
+  if crashes < 0 then invalid_arg "Chaos.schedule: crashes must be >= 0";
   if crashes > 0 && nodes < 2 then invalid_arg "Chaos.schedule: need at least 2 nodes";
   let jitter = 40 in
   if slot <= Time.(down + Time.us jitter) then
@@ -52,48 +47,23 @@ let schedule ~seed ~nodes ~crashes ~start ~slot ~down ~scrub =
   done;
   List.rev !evs
 
-let outcome_of_exn = function
-  | Engine.Quiescence_timeout _ -> "watchdog"
-  | Cluster.Deadlock _ -> "deadlock"
-  | Engine.Fiber_failure (_, Reliable.Peer_dead _) -> "peer-dead"
-  | Engine.Fiber_failure (_, Reliable.Delivery_failed _) -> "delivery-failed"
-  | Lrc.Barrier_timeout _ | Engine.Fiber_failure (_, Lrc.Barrier_timeout _) ->
-      "barrier-timeout"
-  | e -> Printexc.to_string e
-
-let collect ?(rx_timeouts = 0) ~outcome ~completed ~checksum ~sched cluster =
-  let n = Cluster.size cluster in
-  let fab = Cluster.fabric cluster in
-  let crash_drops = ref 0 in
-  for i = 0 to n - 1 do
-    crash_drops := !crash_drops + Fabric.crash_drops fab ~node:i
-  done;
-  let recs = ref [] in
-  for i = 0 to n - 1 do
-    recs :=
-      List.rev_append (Nic.recovery_latencies (Node.nic (Cluster.node cluster i))) !recs
-  done;
-  let recoveries = List.length !recs in
+let collect ?(rx_timeouts = 0) (outcome, detail) ~checksum ~crashes ~elapsed
+    (tot : Cluster.totals) =
+  let recoveries = List.length tot.Cluster.recovery_latencies in
   let mean_recovery_us =
     if recoveries = 0 then 0.
     else
-      List.fold_left (fun a t -> a +. Time.to_us_float t) 0. !recs
+      List.fold_left (fun a t -> a +. Time.to_us_float t) 0. tot.Cluster.recovery_latencies
       /. float_of_int recoveries
-  in
-  let crashes =
-    List.length
-      (List.filter
-         (fun e -> match e.Faults.e_fault with Faults.Crash _ -> true | Faults.Restart -> false)
-         sched)
   in
   {
     outcome;
-    completed;
-    elapsed_us = Time.to_us_float (Cluster.elapsed cluster);
+    detail;
+    elapsed_us = Time.to_us_float elapsed;
     crashes;
-    restarts = List.length sched - crashes;
-    retransmits = Cluster.retransmits cluster;
-    crash_drops = !crash_drops;
+    restarts = crashes;
+    retransmits = tot.Cluster.retransmits;
+    crash_drops = tot.Cluster.crash_drops;
     recoveries;
     mean_recovery_us;
     rx_timeouts;
@@ -112,19 +82,17 @@ let run_dsm ?(seed = 7) ?(procs = 8) ?(n = 128) ?(iterations = 8) ?(scrub = fals
     schedule ~seed ~nodes:procs ~crashes ~start:(Time.us 200) ~slot:(Time.us 600) ~down
       ~scrub
   in
-  let faults = { Faults.none with Faults.schedule = sched } in
-  let params = Cni_machine.Params.default in
-  let cluster = Cluster.create ~params ~faults ~nic_kind:kind ~nodes:procs () in
-  let space = Space.create ~nprocs:procs ~page_bytes:params.Cni_machine.Params.page_bytes in
-  let lrcs = Lrc.install cluster space () in
-  match
-    Jacobi.run ~watchdog cluster lrcs
-      { Jacobi.default_config with Jacobi.n; iterations }
-  with
-  | r ->
-      collect ~outcome:"ok" ~completed:true ~checksum:r.Jacobi.checksum ~sched cluster
-  | exception e ->
-      collect ~outcome:(outcome_of_exn e) ~completed:false ~checksum:nan ~sched cluster
+  let checksum = ref nan in
+  let r =
+    Runner.run ~faults:{ Faults.none with Faults.schedule = sched } ~kind ~procs
+      (fun cluster lrcs ->
+        checksum :=
+          (Jacobi.run ~watchdog cluster lrcs
+             { Jacobi.default_config with Jacobi.n; iterations })
+            .Jacobi.checksum)
+  in
+  collect (r.Runner.outcome, r.Runner.detail) ~checksum:!checksum ~crashes
+    ~elapsed:r.Runner.elapsed r.Runner.totals
 
 (* Open-loop run: a message ring that never blocks indefinitely. Each round
    every rank sends its token to its successor and collects its
@@ -142,21 +110,23 @@ let run_ring ?(seed = 7) ?(nodes = 8) ?(rounds = 24) ?(scrub = false)
   let eps = Mp.install cluster in
   let rx_timeouts = ref 0 in
   let checksum = ref 0. in
-  match
-    Cluster.run_app ~watchdog cluster (fun node ->
-        let ep = eps.(Node.id node) in
-        let me = Mp.rank ep in
-        let next = (me + 1) mod Mp.size ep in
-        for r = 0 to rounds - 1 do
-          Mp.send ep ~dst:next ~tag:r ((me * rounds) + r);
-          match Mp.recv_timeout ep ~tag:r ~timeout:rx_timeout () with
-          | Some e -> checksum := !checksum +. float_of_int e.Mp.value
-          | None -> incr rx_timeouts
-        done)
-  with
-  | () ->
-      collect ~rx_timeouts:!rx_timeouts ~outcome:"ok" ~completed:true ~checksum:!checksum
-        ~sched cluster
-  | exception e ->
-      collect ~rx_timeouts:!rx_timeouts ~outcome:(outcome_of_exn e) ~completed:false
-        ~checksum:nan ~sched cluster
+  let ending =
+    match
+      Cluster.run_app ~watchdog cluster (fun node ->
+          let ep = eps.(Node.id node) in
+          let me = Mp.rank ep in
+          let next = (me + 1) mod Mp.size ep in
+          for r = 0 to rounds - 1 do
+            Mp.send ep ~dst:next ~tag:r ((me * rounds) + r);
+            match Mp.recv_timeout ep ~tag:r ~timeout:rx_timeout () with
+            | Some e -> checksum := !checksum +. float_of_int e.Mp.value
+            | None -> incr rx_timeouts
+          done)
+    with
+    | () -> (Runner.Ok, [])
+    | exception e ->
+        checksum := nan;
+        Runner.stopped cluster ~waits:(fun i -> Mp.debug_state eps.(i)) e
+  in
+  collect ~rx_timeouts:!rx_timeouts ending ~checksum:!checksum ~crashes
+    ~elapsed:(Cluster.elapsed cluster) (Cluster.totals cluster)

@@ -8,8 +8,8 @@
     that. *)
 
 type metrics = {
-  outcome : string;  (** "ok" or the structured failure that ended the run *)
-  completed : bool;
+  outcome : Runner.outcome;
+  detail : string list;  (** see {!Runner.stopped}; empty when the run completed *)
   elapsed_us : float;
   crashes : int;  (** crash events in the schedule *)
   restarts : int;
@@ -22,27 +22,16 @@ type metrics = {
   checksum : float;  (** application checksum; [nan] when the run failed *)
 }
 
-(** [schedule ~seed ~nodes ~crashes ~start ~slot ~down ~scrub] — the raw
-    schedule builder: crash [k] lands in time slot [start + k*slot] (plus
-    seeded jitter) and restarts [down] later. Always passes
-    {!Cni_atm.Faults.validate}.
-    @raise Invalid_argument when [slot] does not exceed [down] plus the
-    jitter bound, or on [crashes > 0] with fewer than 2 nodes. *)
-val schedule :
-  seed:int ->
-  nodes:int ->
-  crashes:int ->
-  start:Cni_engine.Time.t ->
-  slot:Cni_engine.Time.t ->
-  down:Cni_engine.Time.t ->
-  scrub:bool ->
-  Cni_atm.Faults.event list
-
 (** Closed-loop chaos: Jacobi over the DSM under a crash schedule. Crashed
     hosts freeze and thaw; reliable delivery retries across the dead window,
     so the run is expected to complete with the fault-free checksum, the
     crashes paid for as elapsed time. The [watchdog] (default 1 s simulated)
-    turns an unrecovered run into a structured failure row. *)
+    turns an unrecovered run into a structured failure row. The run is a
+    {!Runner.run}. Crash [k] lands in a 600 us slot (plus seeded jitter) and
+    restarts [down] later.
+    @raise Invalid_argument before anything runs when [down] does not fit
+    the slot, [crashes] is negative, or [crashes > 0] with fewer than 2
+    nodes; {!run_ring} likewise. *)
 val run_dsm :
   ?seed:int ->
   ?procs:int ->
@@ -62,7 +51,8 @@ val run_dsm :
 (** Open-loop chaos: a token ring over {!Cni_mp.Mp} where every receive is a
     [recv_timeout] — a round whose predecessor is crashed gives up after
     [rx_timeout] and moves on, so the ring degrades (counted in
-    [rx_timeouts]) instead of stalling. *)
+    [rx_timeouts]) instead of stalling. The detail of a deadlock or a
+    watchdog is {!Cni_mp.Mp.debug_state} of each unfinished rank. *)
 val run_ring :
   ?seed:int ->
   ?nodes:int ->

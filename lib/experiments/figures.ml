@@ -1,4 +1,5 @@
 module Time = Cni_engine.Time
+module Cluster = Cni_cluster.Cluster
 module Params = Cni_machine.Params
 module Jacobi = Cni_apps.Jacobi
 module Water = Cni_apps.Water
@@ -63,8 +64,8 @@ let speedup_sweep ~id ~title ?(notes = []) app =
     | Some rc ->
         ( [
             ("cni-hit-ratio-pct", rc.Runner.hit_ratio);
-            ("cni-packets", float_of_int rc.Runner.packets);
-            ("cni-wire-bytes", float_of_int rc.Runner.wire_bytes);
+            ("cni-packets", float_of_int rc.Runner.totals.Cluster.packets);
+            ("cni-wire-bytes", float_of_int rc.Runner.totals.Cluster.wire_bytes);
           ],
           rc.Runner.metrics )
     | None -> ([], [])

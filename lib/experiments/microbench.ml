@@ -109,12 +109,12 @@ let collective_latency ?(params = Params.default) ?(reps = 8) ?(allreduce = true
           if Node.id node = 0 then
             allreduce_t := Time.( + ) !allreduce_t Time.(Engine.now eng - t0)
         done);
-  let interrupts = ref 0 in
-  for n = 0 to nodes - 1 do
-    interrupts := !interrupts + (Nic.stats (Node.nic (Cluster.node cluster n))).Nic.interrupts
-  done;
   let per t = Time.to_us_float t /. float_of_int reps in
-  { barrier_us = per !barrier_t; allreduce_us = per !allreduce_t; interrupts = !interrupts }
+  {
+    barrier_us = per !barrier_t;
+    allreduce_us = per !allreduce_t;
+    interrupts = (Cluster.totals cluster).Cluster.host_interrupts;
+  }
 
 (* Receive-policy behaviour at a controlled arrival rate. Node 0 paces
    [count] frames [gap] apart; node 1's application computes throughout (it

@@ -3,39 +3,52 @@
 type app =
   Cni_dsm.Protocol.msg Cni_cluster.Cluster.t -> Cni_dsm.Lrc.t array -> unit
 
+(** How a run ended: every application fiber finished, or the fault that
+    stopped it. DESIGN.md §7c tables the names, exit codes and the
+    exceptions behind them. *)
+type outcome = Ok | Delivery_failed | Peer_dead | Deadlock | Watchdog | Barrier_timeout
+
+(** ["ok"], ["delivery-failed"], ["peer-dead"], ["deadlock"], ["watchdog"] or
+    ["barrier-timeout"]. *)
+val outcome_name : outcome -> string
+
+(** 0 for [Ok], 3 to 7 for the failures. *)
+val exit_code : outcome -> int
+
+(** 2: a preflight check refused the run before it started. *)
+val preflight_refused : int
+
+(** Every nonzero code above with its meaning: the EXIT STATUS of each
+    command that runs a simulation. *)
+val exit_table : (int * string) list
+
+(** [classify e] sorts an exception that ended a run, raised directly or by
+    a fiber ({!Cni_engine.Engine.Fiber_failure}), into its outcome and a
+    one-line message. [None] means no outcome names it: a bug, not a fault. *)
+val classify : exn -> (outcome * string) option
+
+(** [stopped cluster ~waits e] is the outcome of a run [e] ended, with its
+    detail: the message of [e] and, for a deadlock or a watchdog, [waits n]
+    of each node [n] whose application never finished.
+    @raise e when {!classify} does not name it. *)
+val stopped :
+  'a Cni_cluster.Cluster.t -> waits:(int -> string) -> exn -> outcome * string list
+
+(** The [outcome] line, then each detail line indented by two spaces. *)
+val print_outcome : out_channel -> outcome -> string list -> unit
+
 type result = {
-  elapsed : Cni_engine.Time.t;
+  outcome : outcome;
+  detail : string list;  (** see {!stopped}; empty when [outcome = Ok] *)
+  elapsed : Cni_engine.Time.t;  (** see {!Cni_cluster.Cluster.elapsed} *)
   elapsed_cycles : float;  (** in CPU cycles (the paper's unit) *)
   hit_ratio : float;  (** network cache hit ratio, percent *)
   computation : Cni_engine.Time.t;
   synch_overhead : Cni_engine.Time.t;
   synch_delay : Cni_engine.Time.t;
-  packets : int;
-  wire_bytes : int;
-  offered_packets : int;
-      (** every send attempt, including frames a crashed/link-down source
-          never transmitted *)
-  delivered_packets : int;  (** frames that reached their destination node *)
-  hop_waits : int;
-      (** multi-switch hops where port or wire contention delayed a frame *)
-  banyan_conflicts : int;
-      (** internal switch wire overlaps (counted on every topology, charged
-          only on multi-switch ones) *)
+  totals : Cni_cluster.Cluster.totals;  (** as they stood when the run stopped *)
   message_mix : (string * int) list;
       (** protocol messages received, by kind, summed over nodes *)
-  retransmits : int;
-      (** NIC-level retransmissions summed over nodes (0 with reliability
-          disabled) *)
-  fault_drops : int;
-      (** frames destroyed by the injected fault model, summed over nodes *)
-  host_interrupts : int;
-      (** host interrupts taken, summed over nodes — zero on a CNI board when
-          everything runs as AIHs; the standard board's cost of existence *)
-  polls : int;
-      (** receive wakeups delivered to a host poll, summed over nodes (see
-          {!Cni_nic.Nic.rx_policy}) *)
-  wasted_polls : int;
-      (** empty receive-ring checks while in poll mode, summed over nodes *)
   metrics : Cni_engine.Stats.Registry.snapshot;
       (** full registry snapshot: every node's NIC, ring, Message Cache, DSM
           and time-accounting metrics *)
@@ -64,7 +77,11 @@ val osiris : Cni_cluster.Cluster.nic_kind
     [reliability] tunes or force-enables the delivery protocol;
     [topology] selects the fabric shape (see {!Cni_atm.Topology});
     [barrier_impl] selects the DSM barrier implementation (see
-    {!Cni_dsm.Lrc.install}). *)
+    {!Cni_dsm.Lrc.install}).
+
+    A run a fault ends still returns, with its {!outcome}; the detail of a
+    deadlock or a watchdog is {!Cni_dsm.Lrc.debug_waits} of each unfinished
+    node. An exception {!classify} does not name propagates. *)
 val run :
   ?params:Cni_machine.Params.t ->
   ?faults:Cni_atm.Faults.config ->

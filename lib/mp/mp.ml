@@ -318,7 +318,7 @@ let allreduce t ~op ?(bytes = 64) value =
 
 let nic_collective t = Option.is_some t.coll
 
-(* Debug: outstanding waits and parked messages (deadlock triage). *)
+(* Outstanding waits and parked messages: an outcome's detail per rank. *)
 let debug_state t =
   let w =
     List.map

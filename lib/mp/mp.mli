@@ -106,5 +106,6 @@ val reduce : 'a t -> root:int -> op:('a -> 'a -> 'a) -> ?bytes:int -> 'a -> 'a
 (** Reduction whose result every node receives. *)
 val allreduce : 'a t -> op:('a -> 'a -> 'a) -> ?bytes:int -> 'a -> 'a
 
-(** One-line summary of outstanding receives and parked messages. *)
+(** One-line summary of outstanding receives and parked messages: the
+    detail of a deadlock or watchdog outcome for each unfinished rank. *)
 val debug_state : 'a t -> string

@@ -249,7 +249,6 @@ let lvalue t name =
   | None -> 0
 
 let rx_undecodable t = lvalue t "rx_undecodable"
-let rx_crc_errors t = lvalue t "rx_crc_errors"
 
 let rel_stats t =
   Option.map

@@ -369,10 +369,6 @@ val rel_pending_count : 'a t -> int
     (counted as [node<N>/nic/rx_undecodable] when a registry is attached). *)
 val rx_undecodable : 'a t -> int
 
-(** Frames dropped on receive because reassembly flagged an AAL5 CRC
-    mismatch (fault-injected corruption); [node<N>/nic/rx_crc_errors]. *)
-val rx_crc_errors : 'a t -> int
-
 (** {2 Crash / restart}
 
     A board can {!crash} — its timers and queued deliveries die; frames to

@@ -26,20 +26,20 @@ type failure = { node : int; dst : int; channel : int; seq : int; tries : int }
 exception Delivery_failed of failure
 exception Peer_dead of failure
 
-let failure_message f =
-  Printf.sprintf
-    "Delivery_failed: node %d -> %d, channel %d, seq %d undelivered after %d transmissions"
-    f.node f.dst f.channel f.seq f.tries
-
-let peer_dead_message f =
-  Printf.sprintf
-    "Peer_dead: node %d -> %d, channel %d, seq %d — destination crashed; gave up after %d transmissions"
-    f.node f.dst f.channel f.seq f.tries
-
 let () =
   Printexc.register_printer (function
-    | Delivery_failed f -> Some (failure_message f)
-    | Peer_dead f -> Some (peer_dead_message f)
+    | Delivery_failed f ->
+        Some
+          (Printf.sprintf
+             "Delivery_failed: node %d -> %d, channel %d, seq %d undelivered after %d \
+              transmissions"
+             f.node f.dst f.channel f.seq f.tries)
+    | Peer_dead f ->
+        Some
+          (Printf.sprintf
+             "Peer_dead: node %d -> %d, channel %d, seq %d — destination crashed; gave up \
+              after %d transmissions"
+             f.node f.dst f.channel f.seq f.tries)
     | _ -> None)
 
 (* ------------------------------------------------------------------ *)

@@ -52,9 +52,6 @@ exception Delivery_failed of failure
     registered. *)
 exception Peer_dead of failure
 
-val failure_message : failure -> string
-val peer_dead_message : failure -> string
-
 (** {2 Delivery epochs}
 
     The Wire aux field of a sequenced frame carries

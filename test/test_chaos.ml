@@ -13,6 +13,10 @@ module Node = Cni_cluster.Node
 module Mp = Cni_mp.Mp
 module Collectives = Cni_mp.Collectives
 module Chaos = Cni_experiments.Chaos
+module Params = Cni_machine.Params
+module Space = Cni_dsm.Space
+module Lrc = Cni_dsm.Lrc
+module Runner = Cni_experiments.Runner
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -31,8 +35,8 @@ let dsm_clean_checksum = lazy (dsm ~crashes:0 ~down:(Time.us 150) ()).Chaos.chec
 
 let test_dsm_recovers () =
   let m = dsm ~crashes:2 ~down:(Time.us 300) () in
-  checkb "run completed" true m.Chaos.completed;
-  check Alcotest.string "outcome ok" "ok" m.Chaos.outcome;
+  check Alcotest.string "outcome ok" "ok" (Runner.outcome_name m.Chaos.outcome);
+  check Alcotest.(list string) "no failure detail" [] m.Chaos.detail;
   checki "both crashes fired" 2 m.Chaos.crashes;
   checki "both restarts fired" 2 m.Chaos.restarts;
   checkb "revived boards saw traffic again" true (m.Chaos.recoveries >= 1);
@@ -43,7 +47,7 @@ let test_dsm_recovers_scrubbed () =
   let m = Chaos.run_dsm ~procs:4 ~n:64 ~iterations:4 ~scrub:true ~crashes:2
       ~down:(Time.us 300) ()
   in
-  checkb "scrubbed run completed" true m.Chaos.completed;
+  checkb "scrubbed run completed" true (m.Chaos.outcome = Runner.Ok);
   check (Alcotest.float 0.0) "checksum survives board scrubs"
     (Lazy.force dsm_clean_checksum) m.Chaos.checksum
 
@@ -62,9 +66,8 @@ let dsm_qcheck =
     QCheck.(triple (int_range 0 1000) (int_range 0 2) (int_range 60 500))
     (fun (seed, crashes, down_us) ->
       let m = dsm ~seed ~crashes ~down:(Time.us down_us) () in
-      if m.Chaos.completed then
-        m.Chaos.outcome = "ok" && m.Chaos.checksum = Lazy.force dsm_clean_checksum
-      else m.Chaos.outcome <> "ok")
+      if m.Chaos.outcome = Runner.Ok then m.Chaos.checksum = Lazy.force dsm_clean_checksum
+      else Float.is_nan m.Chaos.checksum && m.Chaos.detail <> [])
 
 (* open loop: the ring degrades by timing rounds out; duplicate delivery
    would inflate the checksum past the fault-free sum *)
@@ -76,7 +79,7 @@ let ring_qcheck =
     QCheck.(pair (int_range 0 1000) (int_range 1 3))
     (fun (seed, crashes) ->
       let m = Chaos.run_ring ~seed ~nodes:4 ~rounds:12 ~crashes ~down:(Time.us 200) () in
-      m.Chaos.completed && m.Chaos.checksum <= Lazy.force clean)
+      m.Chaos.outcome = Runner.Ok && m.Chaos.checksum <= Lazy.force clean)
 
 (* ------------------------------------------------------------------ *)
 (* Board state across scrubbed crashes                                 *)
@@ -172,8 +175,15 @@ let test_watchdog_fires_on_deliberate_deadlock () =
         ignore (Mp.recv eps.(Node.id node) ~tag:9 ()))
   with
   | () -> Alcotest.fail "expected Quiescence_timeout"
-  | exception Engine.Quiescence_timeout { limit; _ } ->
-      checki "fired at the configured limit" (Time.to_ps (Time.ms 1)) (Time.to_ps limit)
+  | exception (Engine.Quiescence_timeout { limit; _ } as e) -> (
+      checki "fired at the configured limit" (Time.to_ps (Time.ms 1)) (Time.to_ps limit);
+      match Runner.stopped cluster ~waits:(fun i -> Mp.debug_state eps.(i)) e with
+      | Runner.Watchdog, [ _message; w0; w1 ] ->
+          check Alcotest.string "rank 0 waits on tag 9" "rank 0: waiters=[(src=*,tag=9)] mailbox=[]" w0;
+          check Alcotest.string "rank 1 waits on tag 9" "rank 1: waiters=[(src=*,tag=9)] mailbox=[]" w1
+      | o, detail ->
+          Alcotest.failf "classified as %s with %d detail line(s)" (Runner.outcome_name o)
+            (List.length detail))
 
 let test_peer_dead_mid_send () =
   (* node 1 crashes and never restarts; node 0's send must exhaust its
@@ -201,9 +211,49 @@ let test_peer_dead_mid_send () =
         else ignore (Mp.recv ep ~tag:1 ()))
   with
   | () -> Alcotest.fail "expected Peer_dead"
-  | exception Engine.Fiber_failure (_, Reliable.Peer_dead f) ->
+  | exception (Engine.Fiber_failure (_, Reliable.Peer_dead f) as e) ->
       checki "failure names the dead peer" 1 f.Reliable.dst;
-      checki "budget was spent first" 4 f.Reliable.tries
+      checki "budget was spent first" 4 f.Reliable.tries;
+      checkb "classified peer-dead" true
+        (Option.map fst (Runner.classify e) = Some Runner.Peer_dead)
+
+let test_barrier_timeout_classified () =
+  (* node 1 never arrives: node 0's bounded barrier wait gives up *)
+  let cluster = Cluster.create ~nic_kind:cni ~nodes:2 () in
+  let space = Space.create ~nprocs:2 ~page_bytes:(Cluster.params cluster).Params.page_bytes in
+  let lrcs = Lrc.install cluster space ~barrier_timeout:(Time.us 100) () in
+  match
+    Cluster.run_app cluster (fun node ->
+        if Node.id node = 0 then Lrc.barrier lrcs.(0) ~id:0)
+  with
+  | () -> Alcotest.fail "expected Barrier_timeout"
+  | exception e -> (
+      match Runner.stopped cluster ~waits:(fun i -> Lrc.debug_waits lrcs.(i)) e with
+      | Runner.Barrier_timeout, [ message ] ->
+          checkb "message names the barrier" true
+            (String.length message > 0 && Runner.exit_code Runner.Barrier_timeout = 7)
+      | o, detail ->
+          Alcotest.failf "classified as %s with %d detail line(s)" (Runner.outcome_name o)
+            (List.length detail))
+
+(* every outcome has its own name and exit code, apart from success, the
+   preflight refusal and the codes the command-line parser reserves *)
+let test_outcome_table () =
+  let outcomes =
+    Runner.[ Ok; Delivery_failed; Peer_dead; Deadlock; Watchdog; Barrier_timeout ]
+  in
+  check Alcotest.(list string) "names"
+    [ "ok"; "delivery-failed"; "peer-dead"; "deadlock"; "watchdog"; "barrier-timeout" ]
+    (List.map Runner.outcome_name outcomes);
+  let codes = List.map Runner.exit_code outcomes in
+  checki "ok exits 0" 0 (List.hd codes);
+  checkb "codes distinct" true (List.length (List.sort_uniq compare codes) = 6);
+  checkb "failures clear of 0, the refusal and 123-125" true
+    (List.for_all (fun c -> c > Runner.preflight_refused && c < 123) (List.tl codes));
+  check Alcotest.(list int) "the table documents the refusal and every failure"
+    (Runner.preflight_refused :: List.tl codes)
+    (List.map fst Runner.exit_table);
+  checkb "an unnamed exception is no outcome" true (Runner.classify (Failure "bug") = None)
 
 (* ------------------------------------------------------------------ *)
 (* recv_timeout                                                        *)
@@ -294,6 +344,9 @@ let () =
           Alcotest.test_case "watchdog fires on deliberate deadlock" `Quick
             test_watchdog_fires_on_deliberate_deadlock;
           Alcotest.test_case "peer dead mid-send" `Quick test_peer_dead_mid_send;
+          Alcotest.test_case "barrier timeout classified" `Quick
+            test_barrier_timeout_classified;
+          Alcotest.test_case "outcome table" `Quick test_outcome_table;
         ] );
       ( "timeouts",
         [

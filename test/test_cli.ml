@@ -7,6 +7,8 @@ module Topology = Cni_atm.Topology
 module Faults = Cni_atm.Faults
 module Params = Cni_machine.Params
 module Preflight = Cni_experiments.Preflight
+module Runner = Cni_experiments.Runner
+module Scenario = Cni_experiments.Scenario
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -130,6 +132,39 @@ let test_run_rejects_bad_input () =
       "--nic-collectives --procs 300";
     ]
 
+(* a run that a fault ends reports its outcome and exits with the
+   outcome's code, whether it is an application run or a serving scenario *)
+let test_faults_end_in_an_outcome () =
+  let lossy_scenario =
+    Filename.temp_file ~temp_dir:(Filename.dirname Sys.executable_name) "lossy" ".scn"
+  in
+  Out_channel.with_open_bin lossy_scenario (fun oc ->
+      output_string oc
+        (Scenario.to_string (Option.get (Scenario.find "baseline-16")));
+      output_string oc "loss 0.3\n");
+  let failed = Runner.exit_code Runner.Delivery_failed in
+  let runs =
+    [
+      ("run --app cholesky --matrix small --procs 2 --loss 0.3", "delivery-failed", failed);
+      ("scenario run --file " ^ Filename.quote lossy_scenario, "delivery-failed", failed);
+      ("run --app jacobi --size 32 --iterations 1 --procs 2", "ok", 0);
+    ]
+  in
+  List.iter
+    (fun (args, outcome, expected) ->
+      let code, text = invoke args in
+      checki (Printf.sprintf "%s exit code" args) expected code;
+      checkb
+        (Printf.sprintf "%s prints outcome %s" args outcome)
+        true
+        (match Str.search_forward (Str.regexp ("^outcome +" ^ outcome ^ "$")) text 0 with
+        | _ -> true
+        | exception Not_found -> false);
+      checkb (Printf.sprintf "%s raises nothing" args) false
+        (contains text "uncaught exception"))
+    runs;
+  Sys.remove lossy_scenario
+
 let () =
   Alcotest.run "cli"
     [
@@ -142,5 +177,6 @@ let () =
         [
           Alcotest.test_case "doctor never raises" `Quick test_doctor_never_raises;
           Alcotest.test_case "run rejects bad input" `Quick test_run_rejects_bad_input;
+          Alcotest.test_case "faults end in an outcome" `Quick test_faults_end_in_an_outcome;
         ] );
     ]

@@ -9,6 +9,7 @@ module Params = Cni_machine.Params
 module Nic = Cni_nic.Nic
 module Cluster = Cni_cluster.Cluster
 module Node = Cni_cluster.Node
+module Runner = Cni_experiments.Runner
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -165,9 +166,15 @@ let test_deadlock_detected () =
               Sync.Ivar.read iv))
   with
   | () -> Alcotest.fail "expected deadlock failure"
-  | exception Cluster.Deadlock { unfinished; crashed } ->
+  | exception (Cluster.Deadlock { unfinished; crashed } as e) -> (
       checkb "names the stuck node" true (unfinished = [ 0 ]);
-      checkb "no crashed casualties" true (crashed = [])
+      checkb "no crashed casualties" true (crashed = []);
+      match Runner.stopped cluster ~waits:(Printf.sprintf "waits of %d") e with
+      | Runner.Deadlock, [ _message; waits ] ->
+          check Alcotest.string "detail names the unfinished node" "waits of 0" waits
+      | o, detail ->
+          Alcotest.failf "classified as %s with %d detail line(s)" (Runner.outcome_name o)
+            (List.length detail))
 
 (* ------------------------------------------------------------------ *)
 (* Cluster aggregates                                                  *)

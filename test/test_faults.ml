@@ -239,8 +239,8 @@ let test_survives_cell_loss () =
       let faults = { Faults.none with Faults.cell_loss = 2e-3 } in
       let r, cs = run_jacobi ~faults ~kind () in
       check (Alcotest.float 0.0) "numerics unchanged under loss" (Lazy.force clean_checksum) cs;
-      checkb "frames were lost" true (r.Runner.fault_drops > 0);
-      checkb "lost frames were retransmitted" true (r.Runner.retransmits > 0))
+      checkb "frames were lost" true (r.Runner.totals.Cluster.fault_drops > 0);
+      checkb "lost frames were retransmitted" true (r.Runner.totals.Cluster.retransmits > 0))
     [ Runner.cni (); Runner.standard ]
 
 let test_survives_corruption () =
@@ -248,7 +248,7 @@ let test_survives_corruption () =
   let r, cs = run_jacobi ~faults ~kind:(Runner.cni ()) () in
   check (Alcotest.float 0.0) "numerics unchanged under corruption"
     (Lazy.force clean_checksum) cs;
-  checkb "CRC-failed frames were retransmitted" true (r.Runner.retransmits > 0)
+  checkb "CRC-failed frames were retransmitted" true (r.Runner.totals.Cluster.retransmits > 0)
 
 let test_faulty_runs_deterministic () =
   let faults = { Faults.none with Faults.cell_loss = 1e-3; Faults.cell_corrupt = 1e-3 } in
@@ -256,7 +256,7 @@ let test_faulty_runs_deterministic () =
   let b, _ = run_jacobi ~faults ~kind:(Runner.cni ()) () in
   checki "bit-identical simulated time" (Time.to_ps a.Runner.elapsed)
     (Time.to_ps b.Runner.elapsed);
-  checki "identical retransmission count" a.Runner.retransmits b.Runner.retransmits
+  checki "identical retransmission count" a.Runner.totals.Cluster.retransmits b.Runner.totals.Cluster.retransmits
 
 let test_loss_costs_time () =
   let lossy = { Faults.none with Faults.cell_loss = 5e-3 } in
@@ -269,8 +269,8 @@ let test_loss_costs_time () =
 
 let test_zero_fault_path_costs_nothing () =
   let r, _ = run_jacobi ~kind:(Runner.cni ()) () in
-  checki "no retransmissions without reliability" 0 r.Runner.retransmits;
-  checki "no fault drops without faults" 0 r.Runner.fault_drops;
+  checki "no retransmissions without reliability" 0 r.Runner.totals.Cluster.retransmits;
+  checki "no fault drops without faults" 0 r.Runner.totals.Cluster.fault_drops;
   (* reliability is off entirely: the NIC holds no protocol state *)
   let cluster : int Mp.envelope Cluster.t = Cluster.create ~nic_kind:cni ~nodes:2 () in
   checkb "rel_stats absent on a clean cluster" true
@@ -293,7 +293,7 @@ let test_link_down_recovery () =
       if Mp.rank ep = 0 then Mp.send ep ~dst:1 ~tag:1 99
       else got := (Mp.recv ep ~tag:1 ()).Mp.value);
   checki "message arrived after the outage" 99 !got;
-  checkb "delivery needed retransmissions" true (Cluster.retransmits cluster > 0)
+  checkb "delivery needed retransmissions" true ((Cluster.totals cluster).Cluster.retransmits > 0)
 
 let test_permanent_outage_fails_structurally () =
   (* a link that never comes back: the sender must surface Delivery_failed
@@ -314,10 +314,30 @@ let test_permanent_outage_fails_structurally () =
         else ignore (Mp.recv ep ~tag:1 ()))
   with
   | () -> Alcotest.fail "expected Delivery_failed"
-  | exception Engine.Fiber_failure (_, Reliable.Delivery_failed f) ->
+  | exception (Engine.Fiber_failure (_, Reliable.Delivery_failed f) as e) ->
       checki "failure names the sending node" 0 f.Reliable.node;
       checki "failure names the destination" 1 f.Reliable.dst;
-      checki "budget was fully spent" Reliable.default.Reliable.max_tries f.Reliable.tries
+      checki "budget was fully spent" Reliable.default.Reliable.max_tries f.Reliable.tries;
+      checkb "classified delivery-failed" true
+        (Option.map fst (Runner.classify e) = Some Runner.Delivery_failed)
+
+(* a run that exhausts its retransmissions returns with its outcome and
+   the counters as they stood, instead of raising *)
+let test_runner_reports_delivery_failed () =
+  let cs = ref nan in
+  let r =
+    Runner.run ~faults:{ Faults.none with Faults.cell_loss = 0.3 } ~kind:(Runner.cni ())
+      ~procs:2 (fun cluster lrcs ->
+        cs := (Jacobi.run cluster lrcs { jacobi_cfg with Jacobi.n = 32 }).Jacobi.checksum)
+  in
+  check Alcotest.string "outcome" "delivery-failed" (Runner.outcome_name r.Runner.outcome);
+  checki "exit code" 3 (Runner.exit_code r.Runner.outcome);
+  checkb "detail names the failed frame" true
+    (match r.Runner.detail with [ m ] -> String.length m > 0 | _ -> false);
+  checkb "counters survive the failure" true
+    (r.Runner.totals.Cluster.fault_drops > 0 && r.Runner.totals.Cluster.retransmits > 0);
+  checkb "stopped at a nonzero time" true (Time.to_ps r.Runner.elapsed > 0);
+  checkb "application never finished" true (Float.is_nan !cs)
 
 let () =
   Alcotest.run "faults"
@@ -348,5 +368,7 @@ let () =
           Alcotest.test_case "link-down recovery" `Quick test_link_down_recovery;
           Alcotest.test_case "permanent outage fails structurally" `Quick
             test_permanent_outage_fails_structurally;
+          Alcotest.test_case "runner reports delivery-failed" `Quick
+            test_runner_reports_delivery_failed;
         ] );
     ]
