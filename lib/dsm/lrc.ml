@@ -681,8 +681,15 @@ let barrier_arrival t ex ~id ~from ~vc =
   acc.arrived <- acc.arrived + 1;
   acc.vcs <- (from, vc) :: acc.vcs;
   if acc.arrived = nprocs t then begin
+    (* take the episode's arrivals and reset the accumulator before any
+       blocking charge or send: a released worker's next arrival at this
+       barrier id can land while the release is still going out, and it
+       belongs to the next episode *)
+    let vcs = acc.vcs in
+    acc.arrived <- 0;
+    acc.vcs <- [];
     let merged = Vclock.create (nprocs t) in
-    List.iter (fun (_, v) -> Vclock.merge merged v) acc.vcs;
+    List.iter (fun (_, v) -> Vclock.merge merged v) vcs;
     ex.charge (t.costs.server_barrier_per_node * nprocs t);
     (* construct the union of unseen intervals ONCE (from the pointwise
        minimum of the arrival clocks) and broadcast the same notice list to
@@ -694,7 +701,7 @@ let barrier_arrival t ex ~id ~from ~vc =
         for k = 0 to nprocs t - 1 do
           if Vclock.get v k < Vclock.get min_vc k then Vclock.set min_vc k (Vclock.get v k)
         done)
-      acc.vcs;
+      vcs;
     let notices = Space.notices_between t.space ~from_vc:min_vc ~upto_vc:merged in
     ex.charge (t.costs.notice_make * List.length notices);
     List.iter
@@ -703,14 +710,12 @@ let barrier_arrival t ex ~id ~from ~vc =
           ex.send ~dst:n
             (Protocol.Barrier_release { barrier = id; vc = Vclock.copy merged; notices })
             Nic.No_data)
-      acc.vcs;
+      vcs;
     (* the manager's own release is local *)
     let my_notices = Space.notices_between t.space ~from_vc:t.vc ~upto_vc:merged in
     apply_notices t ex my_notices;
     Vclock.merge t.vc merged;
     Vclock.merge t.last_barrier_vc t.vc;
-    acc.arrived <- 0;
-    acc.vcs <- [];
     match take_wait t.barrier_waits id with
     | Some iv -> Sync.Ivar.fill iv ()
     | None -> failwith "Lrc: barrier completed with no local waiter"

@@ -10,6 +10,8 @@ module Diff = Cni_dsm.Diff
 module Space = Cni_dsm.Space
 module Lrc = Cni_dsm.Lrc
 module Shmem = Cni_dsm.Shmem
+module Jacobi = Cni_apps.Jacobi
+module Runner = Cni_experiments.Runner
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -602,6 +604,25 @@ let test_message_mix () =
   let count2 name = List.fold_left (fun a (k, n) -> if k = name then a + n else a) 0 mix2 in
   checkb "lock grants flowed" true (count2 "lock-grant" > 0)
 
+(* Seventeen standard boards on a small grid: a worker released from one
+   barrier episode sends its next arrival at the same barrier id while the
+   manager is still sending the other releases. That arrival belongs to the
+   next episode and must survive the manager's reset of the accumulator. *)
+let test_barrier_rearrival_standard () =
+  let cfg = { Jacobi.default_config with Jacobi.n = 32; iterations = 2 } in
+  let run kind =
+    let cs = ref nan in
+    let r =
+      Runner.run ~kind ~procs:17 (fun cluster lrcs ->
+          cs := (Jacobi.run cluster lrcs cfg).Jacobi.checksum)
+    in
+    (r, !cs)
+  in
+  let r, cs = run Runner.standard in
+  check Alcotest.string "outcome" "ok" (Runner.outcome_name r.Runner.outcome);
+  let _, cs_cni = run (Runner.cni ()) in
+  check (Alcotest.float 0.) "same checksum as CNI" cs_cni cs
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dsm"
@@ -650,6 +671,8 @@ let () =
           Alcotest.test_case "concurrent write sharing" `Quick test_concurrent_write_sharing;
           Alcotest.test_case "resident cap evicts" `Quick test_resident_cap_evicts;
           Alcotest.test_case "barrier epochs" `Quick test_barrier_epochs;
+          Alcotest.test_case "barrier re-arrival (standard, 17 nodes)" `Quick
+            test_barrier_rearrival_standard;
           Alcotest.test_case "no lock starvation" `Quick test_lock_no_starvation;
           Alcotest.test_case "AIH removes interrupts" `Quick test_aih_removes_interrupts;
           Alcotest.test_case "message mix matches program" `Quick test_message_mix;
