@@ -42,6 +42,8 @@ type result = {
   host_interrupts : int;
   polls : int;
   wasted_polls : int;
+  frames : int;
+  engine : Engine.run_stats;
   hist : Hist.t;
 }
 
@@ -158,5 +160,7 @@ let run ?params ?faults ?reliability ?topology ?(watchdog = Time.s 2) ~nic_kind 
     host_interrupts = tot.Cluster.host_interrupts;
     polls = tot.Cluster.polls;
     wasted_polls = tot.Cluster.wasted_polls;
+    frames = tot.Cluster.delivered_packets;
+    engine = Engine.run_stats (Cluster.engine cluster);
     hist;
   }

@@ -68,6 +68,8 @@ type result = {
   host_interrupts : int;  (** host interrupts taken *)
   polls : int;  (** receive wakeups taken by a host poll *)
   wasted_polls : int;  (** empty ring checks while in poll mode *)
+  frames : int;  (** frames the fabric delivered, acks and retransmissions included *)
+  engine : Cni_engine.Engine.run_stats;  (** the simulator's own cost of the run *)
   hist : Hist.t;  (** the full latency distribution, nanosecond samples *)
 }
 

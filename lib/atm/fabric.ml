@@ -42,7 +42,7 @@ type 'a t = {
   out_free : Time.t array array;  (* per switch, per output port *)
   wire_free : Time.t array array;  (* per switch, [stage * ports + wire] *)
   single : bool;  (* one switch: take the literal seed timing path *)
-  egress : Sync.Semaphore.t array;
+  egress : Sync.Clock.t array;  (* per source: frames serialise in send order *)
   mutable ingress_free : Time.t array;
   receivers : ('a packet -> unit) array;
   registry : Stats.Registry.t option;
@@ -50,9 +50,10 @@ type 'a t = {
   (* crashed nodes: frames to or from a down node are discarded, counted
      apart from the link-layer fault classes *)
   down : bool array;
-  (* registered on first increment, so a fault-free run leaves the metrics
-     snapshot exactly as it was before fault injection existed *)
-  counters : (string, Stats.Counter.t) Hashtbl.t;
+  (* per node, per {!drop} kind: registered on first increment, so a
+     fault-free run leaves the metrics snapshot exactly as it was before
+     fault injection existed *)
+  counters : Stats.Counter.t option array;
   mutable s_packets : int;
   mutable s_cells : int;
   mutable s_wire_bytes : int;
@@ -89,21 +90,53 @@ let min_latency p ~bytes =
   let wire = frame_wire_bytes p ~bytes in
   Time.(serialize_time p ~wire + p.Params.switch_latency + (p.Params.link_latency * 2))
 
-let counter t ~node name =
-  let key = Printf.sprintf "%d/%s" node name in
-  match Hashtbl.find_opt t.counters key with
+(* What the fabric counts per node, apart from its totals: frames it could
+   not deliver and what the fault model did to them. *)
+type drop =
+  | Undeliverable
+  | Crash_drops
+  | Link_down_drops
+  | Fault_frame_drops
+  | Fault_cells_lost
+  | Fault_frames_lost
+  | Fault_cells_corrupted
+  | Fault_frames_corrupted
+
+let drop_names =
+  [| "undeliverable"; "crash_drops"; "link_down_drops"; "fault_frame_drops";
+     "fault_cells_lost"; "fault_frames_lost"; "fault_cells_corrupted";
+     "fault_frames_corrupted" |]
+
+let drop_slot ~node d =
+  let k =
+    match d with
+    | Undeliverable -> 0
+    | Crash_drops -> 1
+    | Link_down_drops -> 2
+    | Fault_frame_drops -> 3
+    | Fault_cells_lost -> 4
+    | Fault_frames_lost -> 5
+    | Fault_cells_corrupted -> 6
+    | Fault_frames_corrupted -> 7
+  in
+  (node * Array.length drop_names) + k
+
+let counter t ~node d =
+  let i = drop_slot ~node d in
+  match t.counters.(i) with
   | Some c -> c
   | None ->
+      let name = drop_names.(i mod Array.length drop_names) in
       let c =
         match t.registry with
         | Some reg -> Stats.Registry.counter reg ~node ~subsystem:"fabric" name
         | None -> Stats.Counter.create name
       in
-      Hashtbl.replace t.counters key c;
+      t.counters.(i) <- Some c;
       c
 
-let counter_value t ~node name =
-  match Hashtbl.find_opt t.counters (Printf.sprintf "%d/%s" node name) with
+let counter_value t ~node d =
+  match t.counters.(drop_slot ~node d) with
   | Some c -> Stats.Counter.value c
   | None -> 0
 
@@ -113,7 +146,7 @@ let emit t ~node ~label ~payload =
 
 let drop_undeliverable t pkt =
   t.s_dropped <- t.s_dropped + 1;
-  Stats.Counter.incr (counter t ~node:pkt.dst "undeliverable");
+  Stats.Counter.incr (counter t ~node:pkt.dst Undeliverable);
   if Trace.enabled_cat Trace.Atm then
     Trace.emit
       ~t_ps:(Time.to_ps (Engine.now t.eng))
@@ -140,13 +173,13 @@ let create ?registry ?faults ?(topology = Topology.Single) eng p ~nodes =
             let m = models.(i) in
             Array.make (Switch.stages m * Switch.ports m) Time.zero);
       single = switches = 1;
-      egress = Array.init nodes (fun _ -> Sync.Semaphore.create 1);
+      egress = Array.init nodes (fun _ -> Sync.Clock.create eng);
       ingress_free = Array.make nodes Time.zero;
       receivers = Array.make nodes (fun _ -> ());
       registry;
       faults = Option.map Faults.create faults;
       down = Array.make nodes false;
-      counters = Hashtbl.create 16;
+      counters = Array.make (nodes * Array.length drop_names) None;
       s_packets = 0;
       s_cells = 0;
       s_wire_bytes = 0;
@@ -171,7 +204,7 @@ let params t = t.p
 let topology t = t.topo
 let set_receiver t ~node f = t.receivers.(node) <- f
 let faults t = Option.map Faults.config t.faults
-let undeliverable t ~node = counter_value t ~node "undeliverable"
+let undeliverable t ~node = counter_value t ~node Undeliverable
 
 let set_node_down t ~node down =
   if node < 0 || node >= t.n then invalid_arg "Fabric.set_node_down: node out of range";
@@ -181,12 +214,12 @@ let node_down t ~node =
   if node < 0 || node >= t.n then invalid_arg "Fabric.node_down: node out of range";
   t.down.(node)
 
-let crash_drops t ~node = counter_value t ~node "crash_drops"
+let crash_drops t ~node = counter_value t ~node Crash_drops
 
 let fault_drops t ~node =
-  counter_value t ~node "fault_frame_drops"
-  + counter_value t ~node "fault_frames_lost"
-  + counter_value t ~node "link_down_drops"
+  counter_value t ~node Fault_frame_drops
+  + counter_value t ~node Fault_frames_lost
+  + counter_value t ~node Link_down_drops
 
 let path_latency t ~src ~dst ~bytes =
   let wire = frame_wire_bytes t.p ~bytes in
@@ -294,11 +327,11 @@ let send t pkt =
   in
   if t.down.(pkt.src) then begin
     (* a crashed node's pending DMA never makes it onto the wire *)
-    Stats.Counter.incr (counter t ~node:pkt.src "crash_drops");
+    Stats.Counter.incr (counter t ~node:pkt.src Crash_drops);
     emit t ~node:pkt.src ~label:"crash-drop" ~payload:pkt.dst
   end
   else if src_down then begin
-    Stats.Counter.incr (counter t ~node:pkt.src "link_down_drops");
+    Stats.Counter.incr (counter t ~node:pkt.src Link_down_drops);
     emit t ~node:pkt.src ~label:"link-down-drop" ~payload:pkt.dst
   end
   else begin
@@ -307,14 +340,11 @@ let send t pkt =
     t.s_cells <- t.s_cells + cells;
     t.s_wire_bytes <- t.s_wire_bytes + wire;
     let ser = serialize_time t.p ~wire in
-    Engine.spawn t.eng ~name:"fabric-send" (fun () ->
-        Sync.Semaphore.acquire t.egress.(pkt.src);
-        Engine.delay ser;
-        Sync.Semaphore.release t.egress.(pkt.src);
-        (* last bit has left the source; it reaches the destination after
-           the switch(es) and links. Cut-through reception: the ingress
-           port was receiving while we were serialising, unless it was
-           busy. *)
+    (* the last bit leaves the source once every earlier frame from it has
+       serialised; it reaches the destination after the switch(es) and
+       links. Cut-through reception: the ingress port was receiving while
+       we were serialising, unless it was busy. *)
+    Engine.at t.eng (Sync.Clock.reserve t.egress.(pkt.src) ser) (fun () ->
         let now = Engine.now t.eng in
         let eta =
           if t.single then begin
@@ -334,30 +364,30 @@ let send t pkt =
         if t.down.(pkt.dst) then begin
           (* checked when the last bit arrives: a node that crashed while
              the frame was in flight loses it at its dead ingress port *)
-          Stats.Counter.incr (counter t ~node:pkt.dst "crash_drops");
+          Stats.Counter.incr (counter t ~node:pkt.dst Crash_drops);
           emit t ~node:pkt.dst ~label:"crash-drop" ~payload:pkt.src
         end
         else if dst_down then begin
-          Stats.Counter.incr (counter t ~node:pkt.dst "link_down_drops");
+          Stats.Counter.incr (counter t ~node:pkt.dst Link_down_drops);
           emit t ~node:pkt.dst ~label:"link-down-drop" ~payload:pkt.src
         end
         else
           match verdict with
           | Faults.Drop ->
-              Stats.Counter.incr (counter t ~node:pkt.src "fault_frame_drops");
+              Stats.Counter.incr (counter t ~node:pkt.src Fault_frame_drops);
               emit t ~node:pkt.src ~label:"fault-drop" ~payload:pkt.dst
           | Faults.Lose_cells n ->
               (* an incomplete frame never completes AAL5 reassembly at the
                  receiver; it dies without occupying the ingress port *)
-              Stats.Counter.add (counter t ~node:pkt.src "fault_cells_lost") n;
-              Stats.Counter.incr (counter t ~node:pkt.src "fault_frames_lost");
+              Stats.Counter.add (counter t ~node:pkt.src Fault_cells_lost) n;
+              Stats.Counter.incr (counter t ~node:pkt.src Fault_frames_lost);
               emit t ~node:pkt.src ~label:"fault-cell-loss" ~payload:n
           | (Faults.Pass | Faults.Corrupt _) as v ->
               let pkt =
                 match v with
                 | Faults.Corrupt n ->
-                    Stats.Counter.add (counter t ~node:pkt.src "fault_cells_corrupted") n;
-                    Stats.Counter.incr (counter t ~node:pkt.src "fault_frames_corrupted");
+                    Stats.Counter.add (counter t ~node:pkt.src Fault_cells_corrupted) n;
+                    Stats.Counter.incr (counter t ~node:pkt.src Fault_frames_corrupted);
                     emit t ~node:pkt.src ~label:"fault-corrupt" ~payload:n;
                     { pkt with crc_ok = false }
                 | _ -> pkt
@@ -365,30 +395,32 @@ let send t pkt =
               let start_recv = Time.max Time.(eta - ser) t.ingress_free.(pkt.dst) in
               let finish = Time.(start_recv + ser) in
               t.ingress_free.(pkt.dst) <- finish;
-              Engine.delay Time.(finish - now);
-              (* re-check liveness at delivery time: when the ingress port
-                 was busy, [finish > eta] and the node may have crashed (or
-                 its link gone down) while the frame queued — it must not
-                 be delivered then *)
-              let dst_down_late =
-                match t.faults with
-                | Some f -> Faults.link_down f ~node:pkt.dst ~now:finish
-                | None -> false
-              in
-              if t.down.(pkt.dst) then begin
-                Stats.Counter.incr (counter t ~node:pkt.dst "crash_drops");
-                emit t ~node:pkt.dst ~label:"crash-drop" ~payload:pkt.src
-              end
-              else if dst_down_late then begin
-                Stats.Counter.incr (counter t ~node:pkt.dst "link_down_drops");
-                emit t ~node:pkt.dst ~label:"link-down-drop" ~payload:pkt.src
-              end
-              else begin
-                t.s_delivered_packets <- t.s_delivered_packets + 1;
-                t.s_delivered_cells <- t.s_delivered_cells + cells;
-                t.s_delivered_wire_bytes <- t.s_delivered_wire_bytes + wire;
-                t.receivers.(pkt.dst) pkt
-              end)
+              (* the receiver's reassembly and dispatch may block, so it
+                 runs as a fiber, started when the last bit is in *)
+              Engine.spawn t.eng ~name:"fabric-deliver" ~at:finish (fun () ->
+                  (* re-check liveness at delivery time: when the ingress
+                     port was busy, [finish > eta] and the node may have
+                     crashed (or its link gone down) while the frame queued
+                     — it must not be delivered then *)
+                  let dst_down_late =
+                    match t.faults with
+                    | Some f -> Faults.link_down f ~node:pkt.dst ~now:finish
+                    | None -> false
+                  in
+                  if t.down.(pkt.dst) then begin
+                    Stats.Counter.incr (counter t ~node:pkt.dst Crash_drops);
+                    emit t ~node:pkt.dst ~label:"crash-drop" ~payload:pkt.src
+                  end
+                  else if dst_down_late then begin
+                    Stats.Counter.incr (counter t ~node:pkt.dst Link_down_drops);
+                    emit t ~node:pkt.dst ~label:"link-down-drop" ~payload:pkt.src
+                  end
+                  else begin
+                    t.s_delivered_packets <- t.s_delivered_packets + 1;
+                    t.s_delivered_cells <- t.s_delivered_cells + cells;
+                    t.s_delivered_wire_bytes <- t.s_delivered_wire_bytes + wire;
+                    t.receivers.(pkt.dst) pkt
+                  end))
   end
 
 let stats t =

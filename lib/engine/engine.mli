@@ -66,9 +66,12 @@ val run_watched : t -> limit:Time.t -> unit
     [Effect.Unhandled]. *)
 
 (** [spawn t f] creates a simulated process running [f], started at the
-    current simulated time. An exception escaping [f] aborts the whole
-    simulation (it propagates out of {!run}), annotated with the fiber name. *)
-val spawn : t -> ?name:string -> (unit -> unit) -> unit
+    current simulated time, or at [at] when given (clamped like {!at}).
+    Starting a fiber at a future time costs one event, where a fiber that
+    starts now and delays costs two. An exception escaping [f] aborts the
+    whole simulation (it propagates out of {!run}), annotated with the fiber
+    name. *)
+val spawn : t -> ?name:string -> ?at:Time.t -> (unit -> unit) -> unit
 
 (** Advance this fiber's virtual time by the given duration. *)
 val delay : Time.t -> unit

@@ -9,7 +9,7 @@ type stats = { dma_transfers : int; dma_bytes : int; writeback_lines : int }
 type t = {
   eng : Engine.t;
   p : Params.t;
-  sem : Sync.Semaphore.t;
+  clock : Sync.Clock.t;  (* DMA transfers serialise in request order *)
   mutable snoopers : (dir:dir -> addr:int -> bytes:int -> unit) list;
   mutable s_dma_transfers : int;
   mutable s_dma_bytes : int;
@@ -20,7 +20,7 @@ let create eng p =
   {
     eng;
     p;
-    sem = Sync.Semaphore.create 1;
+    clock = Sync.Clock.create eng;
     snoopers = [];
     s_dma_transfers = 0;
     s_dma_bytes = 0;
@@ -44,16 +44,26 @@ let writeback_lines t lines =
 
 let dma_time t ~bytes = Params.bus_transfer t.p ~bytes
 
-let dma t ~dir ~addr ~bytes =
-  (match dir with
+let check_dma_dir = function
   | Dma_to_memory | Dma_from_memory -> ()
-  | Cpu_writeback -> invalid_arg "Bus.dma: Cpu_writeback is not a DMA direction");
-  Sync.Semaphore.acquire t.sem;
-  Engine.delay (dma_time t ~bytes);
+  | Cpu_writeback -> invalid_arg "Bus.dma: Cpu_writeback is not a DMA direction"
+
+(* the transfer's last word has crossed the bus *)
+let dma_done t ~dir ~addr ~bytes =
   t.s_dma_transfers <- t.s_dma_transfers + 1;
   t.s_dma_bytes <- t.s_dma_bytes + bytes;
-  notify t ~dir ~addr ~bytes;
-  Sync.Semaphore.release t.sem
+  notify t ~dir ~addr ~bytes
+
+let dma t ~dir ~addr ~bytes =
+  check_dma_dir dir;
+  Sync.Clock.hold t.clock (dma_time t ~bytes);
+  dma_done t ~dir ~addr ~bytes
+
+let dma_then t ~dir ~addr ~bytes k =
+  check_dma_dir dir;
+  Engine.at t.eng (Sync.Clock.reserve t.clock (dma_time t ~bytes)) (fun () ->
+      dma_done t ~dir ~addr ~bytes;
+      k ())
 
 let stats t =
   {

@@ -1,7 +1,7 @@
 (** Memory-bus model with snooping.
 
     The bus is a shared resource: DMA transfers (long occupancies) serialise
-    through a FIFO semaphore; individual CPU-side line write-backs are charged
+    in request order on a next-free clock; individual CPU-side line write-backs are charged
     as additive occupancy without queueing (their durations are small and the
     paper's results do not hinge on CPU/DMA contention).
 
@@ -32,9 +32,15 @@ val register_snooper : t -> (dir:dir -> addr:int -> bytes:int -> unit) -> unit
 val writeback_lines : t -> int list -> Cni_engine.Time.t
 
 (** [dma t ~dir ~addr ~bytes] performs a DMA transfer from inside a fiber:
-    acquires the bus, holds it for the transfer time, releases it, and
-    notifies snoopers. [dir] must be [Dma_to_memory] or [Dma_from_memory]. *)
+    waits for the bus, holds it for the transfer time, and notifies
+    snoopers when it ends. [dir] must be [Dma_to_memory] or
+    [Dma_from_memory]. *)
 val dma : t -> dir:dir -> addr:int -> bytes:int -> unit
+
+(** [dma_then t ~dir ~addr ~bytes k] is {!dma} for code that does not run
+    in a fiber: it books the transfer now, and at its end notifies snoopers
+    and calls [k]. *)
+val dma_then : t -> dir:dir -> addr:int -> bytes:int -> (unit -> unit) -> unit
 
 (** Pure transfer-time of a DMA of [bytes] (no queueing). *)
 val dma_time : t -> bytes:int -> Cni_engine.Time.t
