@@ -70,7 +70,8 @@ val params : 'a t -> Cni_machine.Params.t
 val topology : 'a t -> Topology.t
 
 (** Replace the delivery callback for a node (default: drop + count). The
-    callback runs inside a fabric fiber; it may block. *)
+    callback runs in a fiber of its own, started when the frame's last bit
+    is in; it may block. *)
 val set_receiver : 'a t -> node:int -> ('a packet -> unit) -> unit
 
 (** The active fault configuration, if any. *)

@@ -18,8 +18,10 @@
 
     Time accounting: host-side costs are charged with [Engine.delay] in the
     calling fiber and reported through [host.overhead]; NIC-side costs are
-    charged inside internal fibers at the NIC clock; bus transfers go through
-    the shared {!Cni_machine.Bus} (whose snooper feeds the Message Cache). *)
+    booked on the board processor's next-free clock ({!Cni_engine.Sync.Clock})
+    at the NIC cycle, by the transmit engine's callbacks or by the receive
+    and handler fibers; bus transfers go through the shared
+    {!Cni_machine.Bus} (whose snooper feeds the Message Cache). *)
 
 (** Bulk data attached to a message. [vaddr] is the host virtual address of
     the source (transmit) or destination (deliver) buffer; [cacheable] is the
